@@ -11,6 +11,14 @@ involving only the parameters, and a coefficient matrix C, so that
 holds modulo parameter terms beyond the current order -- and exactly, once
 the lifting closes.  The vanishing of the entries of G cuts the base space
 of the family out of the parameter space.  All arithmetic is exact over QQ.
+
+The identity is verified exactly, one parameter order at a time.  Every
+piece is checked to have the parameter order of its index when it is
+stored, so the order-j part of the identity is the sum of the products of
+pieces whose orders add up to j, and a piece of order k changes no part
+below order k.  Each step therefore checks only the order it completes;
+whether the family has closed is decided from the parts above it, up to the
+highest order any product reaches.
 """
 
 from fractions import Fraction
@@ -134,13 +142,15 @@ class _LiftState:
     Pieces are indexed by parameter order: F[k] and R[k] are lists, G and C
     dicts keyed by order (G starts at 2, C at 0 with C[0] the matrix of
     obstruction vectors).  ``lg`` maps a G row to the order of its lowest
-    nonzero piece and ``lg_poly`` to that piece itself.
+    nonzero piece and ``lg_poly`` to that piece itself.  ``next_error`` is
+    the order-(order + 1) part of the identity, kept by the last check for
+    the next step.
     """
 
     __slots__ = ("ring", "m", "l", "d", "F", "R", "G", "C", "V",
                  "lg", "lg_poly", "order", "term_key", "xbasis",
                  "ideal_exprs", "n_ideal", "vhat_lookup", "vhat_rows",
-                 "vhat_T", "gbt")
+                 "vhat_T", "gbt", "next_error")
 
     def __init__(self, ring, m, l, d):
         self.ring = ring
@@ -163,6 +173,14 @@ class _LiftState:
         self.vhat_rows = []
         self.vhat_T = []
         self.gbt = None
+        self.next_error = None
+
+
+def _require_order(mat, k, what):
+    """Raise LiftError unless every entry of `mat` has parameter order k."""
+    if not all(p.is_t_homogeneous(k) for row in mat.entries for p in row):
+        raise LiftError("%s piece of order %d has terms of another order"
+                        % (what, k))
 
 
 def _reduction_setup(F0m, R0):
@@ -262,10 +280,16 @@ def _lowest_g_basis(state):
 
 
 def _error_term(state, target):
-    """The order-`target` part of transpose(F*R) + C*G from known pieces."""
+    """The order-`target` part of transpose(F*R) + C*G from known pieces.
+
+    At the start of the step that computes order `target` the pieces F, R
+    and G of that order do not exist yet, so this is the error that step
+    must cancel; once they are stored it is the part the step must zero.
+    """
     ring = state.ring
     total = PolyMatrix.zero(ring, state.l, 1)
-    for a in range(1, target):
+    for a in range(max(0, target - len(state.R) + 1),
+                   min(target, len(state.F) - 1) + 1):
         b = target - a
         Fa = state.F[a]
         Rb = state.R[b]
@@ -360,12 +384,17 @@ def _phase_a(state, nf, target):
 
 def _lift_step(state):
     """Extend all pieces by one parameter order; returns True when the full
-    identity transpose(F*R) + C*G is now exactly zero."""
+    identity transpose(F*R) + C*G is now exactly zero.
+
+    The error to cancel is the part of order `target` that the previous
+    check computed.  After the new pieces are stored, that part must vanish
+    (LiftError otherwise); closure is decided from the parts above it.
+    """
     target = state.order + 1
     ring = state.ring
     m, l = state.m, state.l
 
-    E = _error_term(state, target)
+    E = state.next_error
     ed = {}
     for i in range(l):
         for mo, c in E[i, 0].terms_dict.items():
@@ -413,6 +442,8 @@ def _lift_step(state):
     state.R.append(PolyMatrix(ring,
                               [[Polynomial(ring, r_acc[j][s]) for s in range(l)]
                                for j in range(m)]))
+    _require_order(state.F[target], target, "F")
+    _require_order(state.R[target], target, "R")
 
     if any(fd for fd in g_new.values()):
         gcol = [Polynomial(ring, g_new.get(k, {})) for k in range(state.d)]
@@ -420,6 +451,7 @@ def _lift_step(state):
         cdeg = ((0,) * ring.grading_rank,) if rdeg is not None else None
         state.G[target] = PolyMatrix(ring, [[p] for p in gcol],
                                      row_degrees=rdeg, col_degrees=cdeg)
+        _require_order(state.G[target], target, "G")
         for k, p in enumerate(gcol):
             if not p.is_zero() and k not in state.lg:
                 state.lg[k] = target
@@ -437,39 +469,41 @@ def _lift_step(state):
             for (pos, k), p in entries.items():
                 rows[pos][k] = p
             addition = PolyMatrix(ring, rows)
+            _require_order(addition, o, "C")
             have = state.C.get(o)
             state.C[o] = addition if have is None else have + addition
 
     state.order = target
-    defect = _identity_defect(state)
-    if defect is None or defect.is_zero():
-        return True
-    if not defect.t_truncate(target).is_zero():
+    bad = _identity_defect(state, target)
+    if bad == target:
         raise LiftError("lifting identity fails through order %d" % target)
-    return False
+    return bad is None
 
 
-def _identity_defect(state):
-    """transpose(F*R) + C*G over all computed pieces, or None when there are
-    no relations (and hence nothing to check)."""
+def _identity_defect(state, low):
+    """The lowest order >= `low` at which transpose(F*R) + C*G has a nonzero
+    part, or None when it has none (or there are no relations to check).
+
+    Every piece has the parameter order of its index, so the order-j part is
+    _error_term(state, j), and a piece stored at step k only adds to parts
+    of order k and above (an addition to C[o] at step k sits in the columns
+    of G rows whose lowest piece has order k - o).  Parts are computed
+    upwards from `low` to the highest order any product reaches, stopping
+    at the first that is not zero; the order-(state.order + 1) part is kept
+    as the next step's error term.
+    """
     if state.l == 0:
         return None
-    Ft = state.F[0]
-    for p in state.F[1:]:
-        Ft = Ft + p
-    Rt = state.R[0]
-    for p in state.R[1:]:
-        Rt = Rt + p
-    out = (Ft * Rt).transpose()
+    top = len(state.F) + len(state.R) - 2
     if state.G:
-        Ct = None
-        for o in sorted(state.C):
-            Ct = state.C[o] if Ct is None else Ct + state.C[o]
-        Gt = None
-        for o in sorted(state.G):
-            Gt = state.G[o] if Gt is None else Gt + state.G[o]
-        out = out + Ct * Gt
-    return out
+        top = max(top, max(state.C) + max(state.G))
+    for j in range(low, top + 1):
+        part = _error_term(state, j)
+        if j == state.order + 1:
+            state.next_error = part
+        if not part.is_zero():
+            return j
+    return None
 
 
 class DeformationResult:
@@ -626,11 +660,13 @@ def versal_deformation(F0, t1=None, t2=None, degree=None, max_order=20,
             state.vhat_lookup, state.vhat_rows, state.vhat_T = \
                 _echelon_obstructions(t2, gb0, St)
 
-    defect = _identity_defect(state)
-    if defect is not None and not defect.t_truncate(1).is_zero():
+    _require_order(F1, 1, "F")
+    _require_order(R1, 1, "R")
+    bad = _identity_defect(state, 0)
+    if bad is not None and bad <= 1:
         raise LiftError("first-order family fails its own relations")
     emit(MSG_LIFTING)
-    polynomial = defect is None or defect.is_zero()
+    polynomial = bad is None
     if polynomial:
         emit(MSG_POLYNOMIAL)
     else:

@@ -318,37 +318,30 @@ def _fp_mul_int_poly(acc, ipoly, fp, sign=1):
 
 
 class _Element:
-    __slots__ = ("vec", "lt", "lc", "conc", "torder", "mdeg", "rep")
+    __slots__ = ("vec", "lt", "lc", "conc", "rep")
 
-    def __init__(self, vec, lt, lc, conc, torder, mdeg, rep):
+    def __init__(self, vec, lt, lc, conc, rep):
         self.vec = vec
         self.lt = lt
         self.lc = lc
         self.conc = conc
-        self.torder = torder
-        self.mdeg = mdeg
         self.rep = rep
 
 
 class _Engine:
-    """Buchberger completion over ivecs with optional bookkeeping and caps."""
+    """Buchberger completion over ivecs with optional bookkeeping."""
 
-    def __init__(self, ring, rank, *, row_degrees=None, track=False,
-                 record_syzygies=False, use_chain=True, t_cap=None, deg_cap=None,
-                 rep_window=None):
+    def __init__(self, ring, rank, *, track=False, record_syzygies=False,
+                 use_chain=True, rep_window=None):
         self.ring = ring
         self.rank = rank
-        self.row_degrees = row_degrees
         self.track = track or record_syzygies
         self.record_syzygies = record_syzygies
         self.rep_window = rep_window
         self.use_chain = use_chain and not record_syzygies
-        self.t_cap = t_cap
-        self.deg_cap = tuple(deg_cap) if deg_cap is not None else None
         self.basis = []
         self.by_pos = {}
         self.heap = []
-        self.deferred = []
         self.done = set()
         self.syzygies = []
         self.n_inputs = 0
@@ -358,7 +351,6 @@ class _Engine:
             return (mk(term[1]), -term[0])
 
         self.key = key
-        self._graded = ring.is_graded and row_degrees is not None
 
     # -- element bookkeeping -------------------------------------------
 
@@ -368,20 +360,7 @@ class _Engine:
         lc = vec[lt]
         positions = {t[0] for t in vec}
         conc = lt[0] if len(positions) == 1 else None
-        nx = self.ring.nx
-        torders = {sum(m[nx:]) for _, m in vec}
-        torder = torders.pop() if len(torders) == 1 else None
-        mdeg = None
-        if self._graded:
-            degs = set()
-            for p, m in vec:
-                d = self.ring.monomial_degree(m)
-                degs.add(tuple(a + b for a, b in zip(d, self.row_degrees[p])))
-                if len(degs) > 1:
-                    break
-            if len(degs) == 1:
-                mdeg = degs.pop()
-        return lt, lc, conc, torder, mdeg
+        return lt, lc, conc
 
     def _normalize(self, vec, rep):
         c = _ivec_content(vec)
@@ -414,8 +393,8 @@ class _Engine:
         self._append(vec, rep)
 
     def _append(self, vec, rep):
-        lt, lc, conc, torder, mdeg = self._analyze(vec)
-        el = _Element(vec, lt, lc, conc, torder, mdeg, rep)
+        lt, lc, conc = self._analyze(vec)
+        el = _Element(vec, lt, lc, conc, rep)
         idx = len(self.basis)
         self.basis.append(el)
         peers = self.by_pos.setdefault(lt[0], [])
@@ -425,19 +404,6 @@ class _Engine:
         return idx
 
     # -- pair management ------------------------------------------------
-
-    def _pair_caps(self, ei, ej, lcm_mono, pos):
-        if self.t_cap is not None and ei.torder is not None and ej.torder is not None:
-            nx = self.ring.nx
-            tdeg = sum(lcm_mono[nx:]) - sum(ei.lt[1][nx:]) + ei.torder
-            if tdeg > self.t_cap:
-                return True
-        if self.deg_cap is not None and self._graded:
-            d = self.ring.monomial_degree(lcm_mono)
-            full = tuple(a + b for a, b in zip(d, self.row_degrees[pos]))
-            if not all(a <= b for a, b in zip(full, self.deg_cap)):
-                return True
-        return False
 
     def _consider_pair(self, i, j):
         ei, ej = self.basis[i], self.basis[j]
@@ -451,9 +417,6 @@ class _Engine:
                 self._record_koszul(i, j)
             return
         lcm_mono = mono_lcm(mi, mj)
-        if self._pair_caps(ei, ej, lcm_mono, pos):
-            self.deferred.append((i, j))
-            return
         sortkey = (sum(lcm_mono), self.key((pos, lcm_mono)), i, j)
         heapq.heappush(self.heap, (sortkey, i, j))
 
@@ -643,17 +606,6 @@ class _Engine:
                 continue
             h, rep_h = self._normalize(h, rep_h)
             self._append(h, rep_h)
-
-    def extend_caps(self, t_cap=None, deg_cap=None):
-        if t_cap is not None:
-            self.t_cap = t_cap
-        if deg_cap is not None:
-            self.deg_cap = tuple(deg_cap)
-        pending = self.deferred
-        self.deferred = []
-        for i, j in pending:
-            self._consider_pair(i, j)
-        self.complete()
 
     # -- conversions ----------------------------------------------------
 
@@ -883,7 +835,7 @@ def buchberger(gens, *, track=False, row_degrees=None):
     ring, rank, columns, rd = _as_columns(gens)
     if row_degrees is None:
         row_degrees = rd
-    engine = _Engine(ring, rank, row_degrees=row_degrees, track=track)
+    engine = _Engine(ring, rank, track=track)
     for col in columns:
         vec, den = _column_to_ivec(col)
         if track and vec:
@@ -939,8 +891,8 @@ def _interreduce(engine):
                         _fp_mul_int_poly(d, ipoly, fp, -1)
                 rep = {k: fp for k, fp in rep.items() if fp}
             vec, rep = engine._normalize(vec, rep)
-            lt, lc, conc, torder, mdeg = engine._analyze(vec)
-            engine.basis[idx] = _Element(vec, lt, lc, conc, torder, mdeg, rep)
+            lt, lc, conc = engine._analyze(vec)
+            engine.basis[idx] = _Element(vec, lt, lc, conc, rep)
     # canonical ordering
     order = sorted(range(len(engine.basis)), key=lambda i: engine.key(engine.basis[i].lt))
     engine.basis = [engine.basis[i] for i in order]
@@ -999,11 +951,6 @@ def _reduce_excluding(engine, vec, skip):
     return result, cofs, scale
 
 
-def normal_form(x, gb, with_cofactors=False):
-    """Normal form of a polynomial or module element against a basis."""
-    return gb.normal_form(x, with_cofactors=with_cofactors)
-
-
 # ---------------------------------------------------------------------------
 # syzygies
 # ---------------------------------------------------------------------------
@@ -1017,8 +964,8 @@ def _syzygy_columns(F, rep_window=None):
     kept part vanishes are dropped.
     """
     ring = F.ring
-    engine = _Engine(ring, max(F.rows, 1), row_degrees=F.row_degrees,
-                     track=True, record_syzygies=True, rep_window=rep_window)
+    engine = _Engine(ring, max(F.rows, 1), track=True, record_syzygies=True,
+                     rep_window=rep_window)
     for col in F.columns():
         vec, den = _column_to_ivec(col)
         idx = engine.n_inputs
@@ -1452,11 +1399,6 @@ def hilbert_function(ideal, d):
         raise GradingError("hilbert_function wants a parameter-free ring; "
                            "restrict to the parameter block first")
     return len(standard_monomials(gb, d))
-
-
-def hilbert_function_of_ring(ring, d):
-    """dim of the degree-d piece of the free ring (no relations)."""
-    return len(monomials_of_degree(ring, d))
 
 
 def standard_module_monomials_of_degree(gb, d, row_degrees):

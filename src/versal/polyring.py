@@ -40,7 +40,7 @@ class RingSpec:
         for name in names:
             if not _NAME_RE.match(name):
                 raise GradingError("bad variable name %r" % name)
-        if (x_degrees is None) != (t_degrees is None) and self.t_vars and x_degrees is not None and t_degrees is None:
+        if self.t_vars and x_degrees is not None and t_degrees is None:
             raise GradingError("graded ring needs degrees for the t-block too")
         if x_degrees is None:
             self.x_degrees = None

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from versal import (
+    LiftError,
     RingSpec,
     VersalError,
     as_generator_matrix,
@@ -21,6 +22,7 @@ from versal import (
     parse_expr,
     versal_deformation,
 )
+from versal import deformation
 from versal.deformation import (
     MSG_FIRST_ORDER,
     MSG_LIFTING,
@@ -35,6 +37,11 @@ def cone_generators():
     return [parse_expr(s, ring) for s in [
         "-x1^2 + x0*x2", "-x1*x2 + x0*x3", "-x2^2 + x1*x3",
         "-x1*x3 + x0*x4", "-x2*x3 + x1*x4", "-x3^2 + x2*x4"]]
+
+
+def nonclosing_generators():
+    ring = RingSpec(("x", "y", "z"), (), ((1,),) * 3)
+    return [parse_expr(s, ring) for s in ["x^2", "y*z", "x*z^2"]]
 
 
 def identity_defect(res):
@@ -183,6 +190,9 @@ def test_cone_truncation():
     res = versal_deformation(cone_generators(), max_order=2)
     assert not res.polynomial and res.order == 2
     assert MSG_POLYNOMIAL not in res.log
+    defect = identity_defect(res)
+    assert defect.t_truncate(2).is_zero()
+    assert not defect.t_piece(3).is_zero()
 
 
 def test_cone_logger_streams_the_log():
@@ -222,6 +232,59 @@ def test_rigid_ideal():
     assert res.parameters == ()
     assert res.polynomial and res.order == 0
     assert res.log == [MSG_FIRST_ORDER, MSG_POLYNOMIAL]
+
+
+# -- a family that never closes --------------------------------------------
+
+def test_nonclosing_identity_holds_through_cut_order():
+    res = versal_deformation(nonclosing_generators(), degree=(0,), max_order=6)
+    assert res.tangent_dimension == 8
+    assert res.obstruction_dimension == 0
+    assert not res.polynomial and res.order == 6
+    defect = identity_defect(res)
+    assert defect.t_truncate(6).is_zero()
+    assert not defect.t_piece(7).is_zero()
+
+
+def corrupt_first_cofactor(monkeypatch, change):
+    """Lift the non-closing ideal with the first generator's cofactor in the
+    tracked reduction replaced by change(cofactor); returns the order at
+    which that cofactor was first nonzero and the LiftError message."""
+    real = deformation._XBasis.reduce
+    used = []
+
+    def corrupted(self, col, track=False):
+        nf, cofs = real(self, col, track=track)
+        if track:
+            used.append(0 in cofs)
+            if 0 in cofs:
+                cofs[0] = change(cofs[0])
+        return nf, cofs
+
+    monkeypatch.setattr(deformation._XBasis, "reduce", corrupted)
+    with pytest.raises(LiftError) as err:
+        versal_deformation(nonclosing_generators(), degree=(0,), max_order=6)
+    # one tracked reduction per order, starting at order 2
+    assert used.index(True) == len(used) - 1
+    return len(used) + 1, str(err.value)
+
+
+def test_wrong_cofactor_is_caught(monkeypatch):
+    order, message = corrupt_first_cofactor(
+        monkeypatch, lambda fd: {m: 2 * c for m, c in fd.items()})
+    assert message == "lifting identity fails through order %d" % order
+
+
+def test_piece_of_mixed_order_is_caught(monkeypatch):
+    def add_higher_term(fd):
+        m = min(fd)
+        out = dict(fd)
+        out[m[:3] + (m[3] + 1,) + m[4:]] = 1  # m * t1, one order higher
+        return out
+
+    order, message = corrupt_first_cofactor(monkeypatch, add_higher_term)
+    assert message == \
+        "F piece of order %d has terms of another order" % order
 
 
 # -- multigraded Hilbert scheme germ ----------------------------------------
