@@ -25,7 +25,7 @@ from .exactla import ScalarMatrix, kernel_basis, rref
 from .groebner import (
     PolyMatrix,
     _homogeneous_column_degrees,
-    _syzygy_columns,
+    _preimage_basis,
     buchberger,
     kernel_mod_ideal,
     koszul_syzygies,
@@ -403,17 +403,15 @@ def _subquotient_std_basis(ring, gbI, U, w_columns):
     U presents a submodule of S^amb containing the span W of w_columns;
     the quotient is S^u / P for P = {a : U a in W}, and the basis is the
     standard-monomial one of that presentation, pushed back through U and
-    reduced mod the ideal.  Raises FiniteDimError when infinite-dimensional.
+    reduced mod the ideal.  P's reduced Gröbner basis comes from one
+    elimination (`_preimage_basis`), not from the syzygies of [U | W]; the
+    output depends only on its leading terms.  Raises FiniteDimError when
+    infinite-dimensional.
     """
     amb = U.rows
-    u = U.cols
-    if u == 0:
+    if U.cols == 0:
         return []
-    block_cols = U.columns() + list(w_columns)
-    block = PolyMatrix.from_columns(ring, amb, block_cols)
-    pcols = _syzygy_columns(block, rep_window=u)
-    P = PolyMatrix.from_columns(ring, u, pcols)
-    gbP = buchberger(P)
+    gbP = _preimage_basis(U, w_columns)
     if not gbP.is_finite_quotient():
         raise FiniteDimError(
             "space is not finite-dimensional (singularity is not isolated "

@@ -13,6 +13,12 @@ are being recorded such a skipped pair contributes its explicit Koszul
 syzygy; the chain criterion is switched off entirely in syzygy-recording
 runs so that the recorded S-pair reductions generate the whole syzygy
 module.
+
+An engine may instead be given an elimination block: positions below a bound
+then rank above every other position, with term-over-position inside each
+block.  That is how module preimages {a : U a in W} are computed
+(`_preimage_basis`): no syzygies are recorded there, so the chain criterion
+stays on.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import FiniteDimError, GradingError, LiftError, VersalError
-from .exactla import ScalarMatrix, kernel_basis, rank as _sc_rank
+from .exactla import ScalarMatrix, kernel_basis
 from .polyring import (
     Polynomial,
     mono_div,
@@ -332,7 +338,7 @@ class _Engine:
     """Buchberger completion over ivecs with optional bookkeeping."""
 
     def __init__(self, ring, rank, *, track=False, record_syzygies=False,
-                 use_chain=True, rep_window=None):
+                 use_chain=True, rep_window=None, eliminate=None):
         self.ring = ring
         self.rank = rank
         self.track = track or record_syzygies
@@ -347,8 +353,14 @@ class _Engine:
         self.n_inputs = 0
         mk = ring.monomial_key
 
-        def key(term):
-            return (mk(term[1]), -term[0])
+        if eliminate is None:
+            def key(term):
+                return (mk(term[1]), -term[0])
+        else:
+            # positions < eliminate rank above all others; term-over-position
+            # inside each block
+            def key(term):
+                return (term[0] < eliminate, mk(term[1]), -term[0])
 
         self.key = key
 
@@ -951,6 +963,36 @@ def _reduce_excluding(engine, vec, skip):
     return result, cofs, scale
 
 
+def _preimage_basis(U, w_columns):
+    """Reduced Gröbner basis of P = {a in S^u : U a in span(w_columns)}.
+
+    Elimination: one basis of the columns [U_j; e_j] and [w; 0] of
+    S^(amb+u), under the order in which the amb top positions rank above
+    the u bottom ones.  Its elements led by a bottom position have a zero
+    top part and form a basis of P; shifted down by amb they are under the
+    order `buchberger` uses on S^u, and interreduced they are its reduced
+    basis of P.
+    """
+    ring, amb, u = U.ring, U.rows, U.cols
+    zero = Polynomial.zero(ring)
+    one = Polynomial.one(ring)
+    engine = _Engine(ring, amb + u, eliminate=amb)
+    for j, col in enumerate(U.columns()):
+        unit = [zero] * u
+        unit[j] = one
+        engine.add_input(_column_to_ivec(col + unit)[0])
+    for col in w_columns:
+        engine.add_input(_column_to_ivec(list(col) + [zero] * u)[0])
+    engine.complete()
+    lower = _Engine(ring, u)
+    for el in engine.basis:
+        if el.lt[0] >= amb:
+            vec = {(p - amb, m): c for (p, m), c in el.vec.items()}
+            lower.basis.append(_Element(vec, *lower._analyze(vec), None))
+    _interreduce(lower)
+    return GroebnerBasis(ring, u, lower, len(lower.basis))
+
+
 # ---------------------------------------------------------------------------
 # syzygies
 # ---------------------------------------------------------------------------
@@ -1156,6 +1198,30 @@ def _normalize_columns(ring, columns):
     return out
 
 
+def _echelon_insert(echelon, row):
+    """Reduce the sparse integer row {column: int} against `echelon`, a dict
+    from pivot column to a row whose smallest column is that pivot; insert
+    the remainder if it is nonzero.  Returns True when it was inserted."""
+    while row:
+        p = min(row)
+        piv = echelon.get(p)
+        if piv is None:
+            g = _ivec_content(row)
+            echelon[p] = {k: v // g for k, v in row.items()} if g != 1 else row
+            return True
+        g = gcd(piv[p], row[p])
+        a, b = piv[p] // g, row[p] // g
+        new = {k: a * v for k, v in row.items()}
+        for k, v in piv.items():
+            s = new.get(k, 0) - b * v
+            if s:
+                new[k] = s
+            else:
+                del new[k]
+        row = new
+    return False
+
+
 def _minimal_columns_graded(ring, columns, row_degs, col_degs):
     """Graded minimal generators among homogeneous columns (Nakayama)."""
     order = sorted(range(len(columns)),
@@ -1168,29 +1234,30 @@ def _minimal_columns_graded(ring, columns, row_degs, col_degs):
         by_degree.setdefault(col_degs[i], []).append(i)
     degrees = sorted(by_degree, key=lambda d: (sum(d), d))
     for d in degrees:
-        labels = []
         label_index = {}
         for pos, rd in enumerate(row_degs):
             target = tuple(a - b for a, b in zip(d, rd))
             if any(c < 0 for c in target):
                 continue
             for mono in monomials_of_degree(ring, target):
-                label_index[(pos, mono)] = len(labels)
-                labels.append((pos, mono))
+                label_index[(pos, mono)] = len(label_index)
 
         def coords(col):
-            v = [Fraction(0)] * len(labels)
+            v = {}
             for pos, p in enumerate(col):
                 for mono, c in p.terms_dict.items():
                     idx = label_index.get((pos, mono))
                     if idx is None:
                         if c:
                             return None
-                    else:
+                    elif c:
                         v[idx] = c
-            return v
+            den = 1
+            for c in v.values():
+                den = den * c.denominator // gcd(den, c.denominator)
+            return {idx: int(c * den) for idx, c in v.items()}
 
-        span_rows = []
+        echelon = {}
         for k_idx, kd in zip(kept, kept_degs):
             diff = tuple(a - b for a, b in zip(d, kd))
             if any(c < 0 for c in diff):
@@ -1199,21 +1266,12 @@ def _minimal_columns_graded(ring, columns, row_degs, col_degs):
                 mu = Polynomial.from_monomial(ring, mono)
                 v = coords([mu * p for p in columns[k_idx]])
                 if v is not None:
-                    span_rows.append(v)
-        current_rank = _sc_rank(ScalarMatrix.from_rows(span_rows)) if span_rows else 0
+                    _echelon_insert(echelon, v)
         for i in by_degree[d]:
             v = coords(columns[i])
-            if v is None:
+            if v is None or _echelon_insert(echelon, v):
                 kept.append(i)
                 kept_degs.append(col_degs[i])
-                continue
-            trial = span_rows + [v]
-            r = _sc_rank(ScalarMatrix.from_rows(trial))
-            if r > current_rank:
-                kept.append(i)
-                kept_degs.append(col_degs[i])
-                span_rows = trial
-                current_rank = r
     kept_sorted = sorted(range(len(kept)),
                          key=lambda n: (sum(kept_degs[n]), kept_degs[n],
                                         _column_sort_key(ring, columns[kept[n]])))

@@ -75,6 +75,27 @@ def test_criterion_1_example1_dimensions():
     assert t2_dim == 3
 
 
+def test_criterion_1_example1_work(monkeypatch):
+    # load-independent companion of the wall-clock gate above: S-pairs
+    # reduced by T1 + T2 of the cone, from empty caches
+    from versal import cotangent, groebner
+    for cached in (cotangent.ideal_basis, cotangent.first_syzygies,
+                   cotangent._koszul_data):
+        cached.cache_clear()
+    calls = []
+    spoly = groebner._Engine.spoly
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return spoly(self, i, j)
+
+    monkeypatch.setattr(groebner._Engine, "spoly", counted)
+    F0 = minors_ideal()
+    assert (cotangent1(F0).dimension, cotangent2(F0).dimension) == (4, 3)
+    print("S-pairs reduced: %d (ceiling 1500)" % len(calls))
+    assert len(calls) <= 1500
+
+
 def test_criterion_2_example1_syzygy_count():
     S = timed(5, lambda: syzygy_matrix(minors_ideal()))
     assert S.cols == 8

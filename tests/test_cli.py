@@ -1,6 +1,8 @@
 """End-to-end tests for the command line interface."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +149,24 @@ def test_json_runs_are_byte_identical(cone_file, capsys):
     first = capsys.readouterr().out
     main(["deform", cone_file, "--json"])
     assert capsys.readouterr().out == first
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["demos/data/quartic_cone.vdef"],
+     "2bde3f6ccd5fc6045547cd9eb612bb100eff1d3a842057ac46f94437b4950340"),
+    (["demos/data/diagonal_p2cubed.vdef", "--degree", "0,0,0"],
+     "e92c905ff534c891e1dfd39d196730c7ad3e9ae0840ffc59ef36b30de10390bb"),
+    (["perfbench/nonclosing.vdef", "--degree", "0", "--max-order", "10"],
+     "0feda5462bf0a7cd9beb61390b5434d52bfb154a48f37337c225451f523b148b"),
+], ids=["cone", "diagonal", "nonclosing"])
+def test_deform_json_golden_digest(args, digest, capsys):
+    # a faster route to the same answer must not change one byte of it
+    assert main(["deform", str(ROOT / args[0]), *args[1:], "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 # -- verbosity and output redirection ---------------------------------------

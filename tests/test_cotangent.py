@@ -14,6 +14,18 @@ from versal import (
     normal_matrix,
     parse_expr,
 )
+from versal.cotangent import (
+    _ideal_unit_columns,
+    _koszul_data,
+    _strip_degrees,
+    ideal_basis,
+)
+from versal.groebner import (
+    PolyMatrix,
+    _preimage_basis,
+    _syzygy_columns,
+    kernel_mod_ideal,
+)
 
 
 def gens_matrix(ring, texts):
@@ -74,6 +86,41 @@ def test_cone_first_syzygies():
     R0 = first_syzygies(quartic_cone())
     assert R0.cols == 8
     assert (quartic_cone() * R0).is_zero()
+
+
+# -- subquotient presentation -----------------------------------------------
+
+def subquotient_inputs(F0):
+    """(U, W) of the local T1 and T2 presentations, as the cotangent module
+    builds them: P = {a : U a in span W} presents each space."""
+    ring = F0.ring
+    gbI = ideal_basis(F0)
+    gens = gbI.polynomials()
+    R0 = first_syzygies(F0)
+    U1 = kernel_mod_ideal(_strip_degrees(R0.transpose()), gbI)
+    W1 = jacobian_matrix(F0).columns() + _ideal_unit_columns(ring, gens, F0.cols)
+    K, lam, B = _koszul_data(F0)
+    cond = lam.hstack(B) if B.cols else lam
+    U2 = kernel_mod_ideal(_strip_degrees(cond.transpose()), gbI)
+    W2 = R0.transpose().columns() + _ideal_unit_columns(ring, gens, R0.cols)
+    return [(U1, W1), (U2, W2)]
+
+
+@pytest.mark.parametrize("make", [
+    quartic_cone,
+    # not homogeneous, so grevlex alone does not separate the two blocks
+    lambda: gens_matrix(RingSpec(("x", "y")), ["x^2 - y^3", "x*y"]),
+], ids=["cone", "ungraded_ci"])
+def test_preimage_basis_matches_syzygy_route(make):
+    # oracle: P from the raw syzygies of [U | W], cut to U's coordinates
+    for U, W in subquotient_inputs(make()):
+        block = PolyMatrix.from_columns(U.ring, U.rows, U.columns() + W)
+        P = PolyMatrix.from_columns(
+            U.ring, U.cols, _syzygy_columns(block, rep_window=U.cols))
+        old = buchberger(P)
+        new = _preimage_basis(U, W)
+        assert new.leading_terms() == old.leading_terms()
+        assert new.elements == old.elements
 
 
 # -- hypersurfaces ----------------------------------------------------------
