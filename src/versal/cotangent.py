@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import FiniteDimError, GradingError, VersalError
-from .exactla import ScalarMatrix, kernel_basis, rref
+from .exactla import SparseMatrix, kernel_basis, rref
 from .groebner import (
     PolyMatrix,
     _homogeneous_column_degrees,
@@ -221,8 +221,7 @@ def _graded_kernel(F0, amb_degrees, cond, cond_degrees):
         for mono in monos:
             row_index[(c, mono)] = len(row_labels)
             row_labels.append((c, mono))
-    C = ScalarMatrix(len(row_labels), len(labels))
-    w = len(labels)
+    rows = [{} for _ in row_labels]
     for j, (pos, mono) in enumerate(labels):
         mu = Polynomial.from_monomial(ring, mono)
         for c in range(cond.cols):
@@ -235,8 +234,9 @@ def _graded_kernel(F0, amb_degrees, cond, cond_degrees):
                 if ri is None:
                     raise GradingError("condition of unexpected degree; input "
                                        "is not homogeneous for the given grading")
-                C.data[ri * w + j] += coeff
-    return labels, kernel_basis(C)
+                row = rows[ri]
+                row[j] = row.get(j, 0) + coeff
+    return labels, kernel_basis(SparseMatrix(len(labels), rows))
 
 
 def _coords_to_columns(ring, amb, labels, matrix, selection=None):
@@ -254,19 +254,14 @@ def _coords_to_columns(ring, amb, labels, matrix, selection=None):
 
 def _quotient_selection(trivial_vectors, kernel):
     """Indices of kernel columns spanning kernel / span(trivial)."""
-    ncoords = kernel.rows
     ntr = len(trivial_vectors)
-    M = ScalarMatrix(ncoords, ntr + kernel.cols)
+    rows = [{ntr + j: c for j, c in enumerate(kernel.row(i)) if c}
+            for i in range(kernel.rows)]
     for j, v in enumerate(trivial_vectors):
         for i, c in enumerate(v):
             if c:
-                M.data[i * (ntr + kernel.cols) + j] = c
-    for j in range(kernel.cols):
-        for i in range(ncoords):
-            c = kernel[i, j]
-            if c:
-                M.data[i * (ntr + kernel.cols) + ntr + j] = c
-    _, pivots = rref(M)
+                rows[i][j] = c
+    _, pivots = rref(SparseMatrix(ntr + kernel.cols, rows))
     return [p - ntr for p in pivots if p >= ntr]
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .cotangent import (as_generator_matrix, cotangent1, cotangent2,
                         first_syzygies, normal_matrix)
 from .errors import LiftError, ObstructionError, VersalError
-from .exactla import ScalarMatrix, rref_with_transform
+from .exactla import SparseMatrix, rref_with_transform
 from .groebner import (FreeModuleElement, PolyMatrix, buchberger,
                        module_quotient_lift)
 from .polyring import (Polynomial, RingSpec, extend_with_parameters,
@@ -234,12 +234,11 @@ def _echelon_obstructions(t2basis, gb0, St):
                     key=lambda t: (base.monomial_key(t[1]), -t[0]),
                     reverse=True)
     col_of = {lab: c for c, lab in enumerate(labels)}
-    M = ScalarMatrix(d, len(labels))
-    for k, red in enumerate(reduced):
-        for pos, comp in enumerate(red.components):
-            for m, c in comp.terms_dict.items():
-                M[k, col_of[(pos, m)]] = c
-    R, pivots, T = rref_with_transform(M)
+    vectors = [{col_of[(pos, m)]: c
+                for pos, comp in enumerate(red.components)
+                for m, c in comp.terms_dict.items()}
+               for red in reduced]
+    R, pivots, T = rref_with_transform(SparseMatrix(len(labels), vectors))
     if len(pivots) != d:
         raise LiftError("obstruction vectors are dependent modulo relations")
     pad = (0,) * (St.nvars - base.nvars)

@@ -1,15 +1,23 @@
-"""Exact dense linear algebra over QQ.
+"""Exact linear algebra over QQ on sparse integer rows.
 
-Everything reduces to a fraction-free row elimination on integer-scaled rows
-with deterministic first-nonzero pivoting, so repeated runs give identical
-bases.  Intended for the modest dense systems produced by degree-piece
-computations; no floating point anywhere.
+Every solve -- `rref`, `rank`, `kernel_basis`, `solve` and
+`rref_with_transform` -- goes through `rref`, and `rref` through one
+fraction-free eliminator.  A row is a dict {column: nonzero int} with its
+content (the gcd of its entries) divided out.  Forward elimination inserts
+the rows one at a time into an echelon keyed by leading column
+(`echelon_insert`); back-substitution then clears every pivot column from
+the other pivot rows, and only the finished rows become Fractions.
+
+The reduced row echelon form of a matrix is unique, so the result does not
+depend on the order in which rows are eliminated, and repeated runs give
+identical bases.  Matrices come in dense (`ScalarMatrix`) or as their nonzero
+entries (`SparseMatrix`); no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import VersalError
 
@@ -59,6 +67,11 @@ class ScalarMatrix:
     def row(self, r):
         return self.data[r * self.cols:(r + 1) * self.cols]
 
+    def sparse_rows(self):
+        """One dict {column: nonzero entry} per row."""
+        return [{c: x for c, x in enumerate(self.row(r)) if x}
+                for r in range(self.rows)]
+
     def column(self, c):
         return [self.data[r * self.cols + c] for r in range(self.rows)]
 
@@ -101,77 +114,89 @@ class ScalarMatrix:
         return "ScalarMatrix(%dx%d: %s)" % (self.rows, self.cols, body)
 
 
-def _int_row(row):
-    """Scale a row of Fractions to coprime integers (sign preserved)."""
-    den = 1
-    for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+class SparseMatrix:
+    """Matrix given by one dict {column: entry} per row; absent entries are 0.
+
+    Entries are ints or Fractions, and an entry may be 0.  Accepted wherever
+    a ScalarMatrix is, as the matrix to eliminate.
+    """
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, cols, entries):
+        self.rows = len(entries)
+        self.cols = cols
+        self.entries = entries
+
+    def sparse_rows(self):
+        return self.entries
 
 
-def _strip(ints):
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-        if g == 1:
-            return ints
-    if g > 1:
-        return [v // g for v in ints]
-    return ints
+def _content_free(row):
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
 
 
-def _eliminate(rows):
-    """In-place fraction-free reduction; returns pivot column list."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        # deterministic pivot: first row at or below r with a nonzero entry
-        piv = None
-        for k in range(r, nrows):
-            if rows[k][c]:
-                piv = k
-                break
+def integer_row(entries):
+    """{column: rational} -> content-free {column: int} spanning the same line.
+
+    Zero entries are dropped; signs are kept.
+    """
+    den = lcm(*(x.denominator for x in entries.values()))
+    return _content_free({k: x.numerator * (den // x.denominator)
+                          for k, x in entries.items() if x})
+
+
+def _clear(row, piv, c):
+    """Integer combination of `row` and `piv` that is zero in column c."""
+    g = gcd(piv[c], row[c])
+    a, b = piv[c] // g, row[c] // g
+    new = {k: a * v for k, v in row.items()}
+    for k, v in piv.items():
+        s = new.get(k, 0) - b * v
+        if s:
+            new[k] = s
+        else:
+            del new[k]
+    return _content_free(new)
+
+
+def echelon_insert(echelon, row):
+    """Reduce the content-free integer row against `echelon`, a dict from
+    pivot column to a row whose smallest column is that pivot; insert the
+    remainder if it is nonzero.  Returns True when it was inserted."""
+    while row:
+        c = min(row)
+        piv = echelon.get(c)
         if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        a = prow[c]
-        for k in range(nrows):
-            if k == r:
-                continue
-            b = rows[k][c]
-            if b:
-                rk = rows[k]
-                rows[k] = _strip([a * x - b * y for x, y in zip(rk, prow)])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+            echelon[c] = row
+            return True
+        row = _clear(row, piv, c)
+    return False
 
 
 def rref(matrix):
-    """Reduced row echelon form.  Returns (ScalarMatrix, pivot columns)."""
-    rows = [_int_row(matrix.row(r)) for r in range(matrix.rows)]
-    pivots = _eliminate(rows)
+    """Reduced row echelon form.  Returns (ScalarMatrix, pivot columns).
+
+    `matrix` is a ScalarMatrix or a SparseMatrix.
+    """
+    echelon = {}
+    for entries in matrix.sparse_rows():
+        echelon_insert(echelon, integer_row(entries))
+    pivots = sorted(echelon)
+    # back-substitution: higher pivot rows are already free of other pivots
+    for c in reversed(pivots):
+        row = echelon[c]
+        for k in [k for k in row if k != c and k in echelon]:
+            row = _clear(row, echelon[k], k)
+        echelon[c] = row
     out = ScalarMatrix(matrix.rows, matrix.cols)
     for i, c in enumerate(pivots):
-        a = rows[i][c]
+        row = echelon[c]
+        a = row[c]
         base = i * matrix.cols
-        for j in range(matrix.cols):
-            v = rows[i][j]
-            if v:
-                out.data[base + j] = Fraction(v, a)
+        for k, v in row.items():
+            out.data[base + k] = Fraction(v, a)
     return out, pivots
 
 
@@ -203,11 +228,8 @@ def solve(matrix, rhs):
     if len(rhs) != matrix.rows:
         raise VersalError("rhs length %d != %d rows" % (len(rhs), matrix.rows))
     n = matrix.cols
-    aug = ScalarMatrix(matrix.rows, n + 1)
-    for r in range(matrix.rows):
-        aug.data[r * (n + 1):r * (n + 1) + n] = matrix.row(r)
-        aug.data[r * (n + 1) + n] = Fraction(rhs[r])
-    R, pivots = rref(aug)
+    aug = [{**row, n: b} for row, b in zip(matrix.sparse_rows(), rhs)]
+    R, pivots = rref(SparseMatrix(n + 1, aug))
     if n in pivots:
         return None
     x = [Fraction(0)] * n
@@ -219,68 +241,12 @@ def solve(matrix, rhs):
 def rref_with_transform(matrix):
     """(R, pivots, T) with T * matrix = R and T invertible.
 
-    The transform rows undergo exactly the same fraction-free operations as
-    the matrix rows, then get the same final scaling.
+    `[R | T]` is the reduced row echelon form of `[matrix | I]`.  When
+    `matrix` has full row rank, T is the unique such transform.
     """
-    ncols = matrix.cols
-    rows = []
-    for r in range(matrix.rows):
-        main = matrix.row(r)
-        den = 1
-        for x in main:
-            den = den * x.denominator // gcd(den, x.denominator)
-        scaled = [int(x * den) for x in main]
-        tr = [0] * matrix.rows
-        tr[r] = den
-        rows.append((scaled, tr))
-
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for k in range(r, nrows):
-            if rows[k][0][c]:
-                piv = k
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow, ptr = rows[r]
-        a = prow[c]
-        for k in range(nrows):
-            if k == r:
-                continue
-            b = rows[k][0][c]
-            if b:
-                mk, tk = rows[k]
-                mk = [a * x - b * y for x, y in zip(mk, prow)]
-                tk = [a * x - b * y for x, y in zip(tk, ptr)]
-                g = 0
-                for v in mk:
-                    g = gcd(g, v)
-                for v in tk:
-                    g = gcd(g, v)
-                if g > 1:
-                    mk = [v // g for v in mk]
-                    tk = [v // g for v in tk]
-                rows[k] = (mk, tk)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-
-    R = ScalarMatrix(matrix.rows, ncols)
-    T = ScalarMatrix(matrix.rows, matrix.rows)
-    for i, (mk, tk) in enumerate(rows):
-        if i < len(pivots):
-            a = mk[pivots[i]]
-        else:
-            a = next((v for v in tk if v), 1)
-        for j, v in enumerate(mk):
-            if v:
-                R.data[i * ncols + j] = Fraction(v, a)
-        for j, v in enumerate(tk):
-            if v:
-                T.data[i * matrix.rows + j] = Fraction(v, a)
-    return R, pivots, T
+    m, n = matrix.rows, matrix.cols
+    aug = [{**row, n + i: 1} for i, row in enumerate(matrix.sparse_rows())]
+    A, pivots = rref(SparseMatrix(n + m, aug))
+    R = ScalarMatrix(m, n, [x for i in range(m) for x in A.row(i)[:n]])
+    T = ScalarMatrix(m, m, [x for i in range(m) for x in A.row(i)[n:]])
+    return R, [c for c in pivots if c < n], T

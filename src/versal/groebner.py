@@ -28,7 +28,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import FiniteDimError, GradingError, LiftError, VersalError
-from .exactla import ScalarMatrix, kernel_basis
+from .exactla import (ScalarMatrix, SparseMatrix, echelon_insert, integer_row,
+                      kernel_basis)
 from .polyring import (
     Polynomial,
     mono_div,
@@ -1198,30 +1199,6 @@ def _normalize_columns(ring, columns):
     return out
 
 
-def _echelon_insert(echelon, row):
-    """Reduce the sparse integer row {column: int} against `echelon`, a dict
-    from pivot column to a row whose smallest column is that pivot; insert
-    the remainder if it is nonzero.  Returns True when it was inserted."""
-    while row:
-        p = min(row)
-        piv = echelon.get(p)
-        if piv is None:
-            g = _ivec_content(row)
-            echelon[p] = {k: v // g for k, v in row.items()} if g != 1 else row
-            return True
-        g = gcd(piv[p], row[p])
-        a, b = piv[p] // g, row[p] // g
-        new = {k: a * v for k, v in row.items()}
-        for k, v in piv.items():
-            s = new.get(k, 0) - b * v
-            if s:
-                new[k] = s
-            else:
-                del new[k]
-        row = new
-    return False
-
-
 def _minimal_columns_graded(ring, columns, row_degs, col_degs):
     """Graded minimal generators among homogeneous columns (Nakayama)."""
     order = sorted(range(len(columns)),
@@ -1252,10 +1229,7 @@ def _minimal_columns_graded(ring, columns, row_degs, col_degs):
                             return None
                     elif c:
                         v[idx] = c
-            den = 1
-            for c in v.values():
-                den = den * c.denominator // gcd(den, c.denominator)
-            return {idx: int(c * den) for idx, c in v.items()}
+            return integer_row(v)
 
         echelon = {}
         for k_idx, kd in zip(kept, kept_degs):
@@ -1266,10 +1240,10 @@ def _minimal_columns_graded(ring, columns, row_degs, col_degs):
                 mu = Polynomial.from_monomial(ring, mono)
                 v = coords([mu * p for p in columns[k_idx]])
                 if v is not None:
-                    _echelon_insert(echelon, v)
+                    echelon_insert(echelon, v)
         for i in by_degree[d]:
             v = coords(columns[i])
-            if v is None or _echelon_insert(echelon, v):
+            if v is None or echelon_insert(echelon, v):
                 kept.append(i)
                 kept_degs.append(col_degs[i])
     kept_sorted = sorted(range(len(kept)),
@@ -1516,7 +1490,7 @@ def graded_piece_basis(presentation, d, kind="coker"):
         for mono in monomials_of_degree(M.ring, target):
             tgt_labels[(i, mono)] = len(tgt_list)
             tgt_list.append((i, mono))
-    cond = ScalarMatrix(len(tgt_list), len(src_labels))
+    rows = [{} for _ in tgt_list]
     for col_idx, (j, mono) in enumerate(src_labels):
         mu = Polynomial.from_monomial(M.ring, mono)
         for i in range(M.rows):
@@ -1528,5 +1502,6 @@ def graded_piece_basis(presentation, d, kind="coker"):
                 row_idx = tgt_labels.get((i, m2))
                 if row_idx is None:
                     raise GradingError("presentation is not homogeneous")
-                cond.data[row_idx * len(src_labels) + col_idx] += c
-    return kernel_basis(cond), src_labels
+                row = rows[row_idx]
+                row[col_idx] = row.get(col_idx, 0) + c
+    return kernel_basis(SparseMatrix(len(src_labels), rows)), src_labels

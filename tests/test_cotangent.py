@@ -1,5 +1,7 @@
 """Tests for tangent and obstruction space computations."""
 
+from pathlib import Path
+
 import pytest
 
 from versal import (
@@ -11,6 +13,7 @@ from versal import (
     cotangent2,
     first_syzygies,
     jacobian_matrix,
+    load_input,
     normal_matrix,
     parse_expr,
 )
@@ -26,6 +29,10 @@ from versal.groebner import (
     _syzygy_columns,
     kernel_mod_ideal,
 )
+
+
+DIAGONAL_FILE = (Path(__file__).resolve().parents[1]
+                 / "demos" / "data" / "diagonal_p2cubed.vdef")
 
 
 def gens_matrix(ring, texts):
@@ -181,6 +188,24 @@ def test_diagonal_obstruction_degree_zero():
 def test_diagonal_first_syzygies():
     R0 = first_syzygies(diagonal())
     assert R0.cols == 20
+
+
+def test_diagonal_graded_pieces_from_input_file():
+    # the graded kernels of the demo input, pinned layer by layer: each
+    # normal-module column v must pair to zero with every first syzygy
+    # modulo the ideal (v^T * R0 = 0 in S/I)
+    F0 = as_generator_matrix(load_input(DIAGONAL_FILE).generators)
+    nm = normal_matrix(F0, (0, 0, 0))
+    assert nm.dimension == 18
+    assert cotangent1(F0, (0, 0, 0)).dimension == 9
+    assert cotangent2(F0, (0, 0, 0)).dimension == 8
+    R0 = first_syzygies(F0)
+    gb = buchberger([F0[0, j] for j in range(F0.cols)])
+    prod = nm.vectors.transpose() * R0
+    for i in range(prod.rows):
+        assert any(not p.is_zero() for p in nm.column(i))
+        for j in range(prod.cols):
+            assert gb.normal_form(prod[i, j]).is_zero()
 
 
 def test_normal_matrix_requires_degree_tuple_of_right_rank():
