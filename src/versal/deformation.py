@@ -12,16 +12,26 @@ holds modulo parameter terms beyond the current order -- and exactly, once
 the lifting closes.  The vanishing of the entries of G cuts the base space
 of the family out of the parameter space.  All arithmetic is exact over QQ.
 
+Each step reduces its error term, the part of the identity of the order
+it completes, once against a parameter-free module basis, with cofactors.
+The normal form is absorbed into new G and C contributions (phase A); the
+correction these make to the residual is reduced on its own when it is not
+empty, and since reduction is linear the two results add up to those of
+the whole residual.  The cofactors give the new F and R pieces.
+
 The identity is verified exactly, one parameter order at a time.  Every
 piece is checked to have the parameter order of its index when it is
 stored, so the order-j part of the identity is the sum of the products of
 pieces whose orders add up to j, and a piece of order k changes no part
-below order k.  Each step therefore checks only the order it completes;
-whether the family has closed is decided from the parts above it, up to the
-highest order any product reaches.
+below order k.  Each step therefore checks only the order it completes:
+its error term plus the products of that order with the new pieces.
+Whether the family has closed is decided from the parts above it, computed
+from scratch up to the highest order any product reaches; the first of
+them is the next step's error term, so every part is formed exactly once.
 """
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .cotangent import (as_generator_matrix, cotangent1, cotangent2,
                         first_syzygies, normal_matrix)
@@ -44,13 +54,69 @@ _ZERO = Fraction(0)
 def _fd_mul_into(acc, a, b, sign=1):
     """acc += sign * a * b for fraction-coefficient monomial dicts."""
     for m1, c1 in a.items():
+        c1 = sign * c1
         for m2, c2 in b.items():
             mm = mono_mul(m1, m2)
-            v = acc.get(mm, _ZERO) + sign * c1 * c2
+            v = acc.get(mm, _ZERO) + c1 * c2
             if v:
                 acc[mm] = v
             else:
                 acc.pop(mm, None)
+
+
+def _fd_add_into(acc, b, sign=1):
+    """acc += sign * b for dicts of fraction coefficients."""
+    for t, c in b.items():
+        v = acc.get(t, _ZERO) + sign * c
+        if v:
+            acc[t] = v
+        else:
+            acc.pop(t, None)
+
+
+class _TermQueue:
+    """A term-dict column ``{(pos, mono): coeff}`` taken largest term first.
+
+    Terms sit in a heap under the ring's descending keys, position breaking
+    ties, so the heap's least entry is the largest term.  A key is computed
+    once per push, not once per comparison as max() over a dict would.  A term
+    whose coefficient cancels stays in the heap and is skipped when it
+    surfaces.  This lazy deletion is sound because callers only add terms
+    below the one they last took, so a taken term never comes back.
+    """
+
+    __slots__ = ("coeffs", "heap", "desc")
+
+    def __init__(self, ring, col):
+        self.desc = desc = ring.descending_key
+        self.coeffs = {t: c for t, c in col.items() if c}
+        self.heap = [(desc(mono), pos, mono) for pos, mono in self.coeffs]
+        heapify(self.heap)
+
+    def pop(self):
+        """Remove the largest term; returns (term, coeff), or None if empty."""
+        heap, coeffs = self.heap, self.coeffs
+        while heap:
+            _, pos, mono = heappop(heap)
+            coeff = coeffs.pop((pos, mono), None)
+            if coeff is not None:
+                return (pos, mono), coeff
+        return None
+
+    def add(self, term, c):
+        """Add c to the coefficient of a term below the last one taken."""
+        coeffs = self.coeffs
+        v = coeffs.get(term)
+        if v is None:
+            if c:
+                coeffs[term] = c
+                heappush(self.heap, (self.desc(term[1]), term[0], term[1]))
+            return
+        v += c
+        if v:
+            coeffs[term] = v
+        else:
+            del coeffs[term]
 
 
 class _XBasis:
@@ -63,11 +129,10 @@ class _XBasis:
     terminates.
     """
 
-    __slots__ = ("ring", "key", "leads", "vecs", "exprs", "by_pos", "n_inputs")
+    __slots__ = ("ring", "leads", "vecs", "exprs", "by_pos")
 
     def __init__(self, gb, ring):
         self.ring = ring
-        self.key = lambda t: (ring.monomial_key(t[1]), -t[0])
         pad = (0,) * (ring.nvars - gb.ring.nvars)
         self.leads = []
         self.vecs = []
@@ -87,7 +152,6 @@ class _XBasis:
                 for i, poly in expr.items()
             })
             self.by_pos.setdefault(pos, []).append(idx)
-        self.n_inputs = gb.n_generators
 
     def reduce(self, col, track=False):
         """Normal form of a term-dict column ``{(pos, mono): coeff}``.
@@ -96,14 +160,12 @@ class _XBasis:
         of the underlying basis, as ``{gen_index: fraction_dict}`` with
         col == nf + sum(cof * gen).
         """
-        work = {t: c for t, c in col.items() if c}
+        work = _TermQueue(self.ring, col)
+        add = work.add
         nf = {}
         el_cofs = {} if track else None
-        while work:
-            term = max(work, key=self.key)
-            coeff = work.pop(term)
-            if not coeff:
-                continue
+        while (top := work.pop()) is not None:
+            term, coeff = top
             pos, mono = term
             hit = -1
             for idx in self.by_pos.get(pos, ()):
@@ -116,13 +178,8 @@ class _XBasis:
             delta = mono_div(mono, self.leads[hit][1])
             for (p2, m2), c2 in self.vecs[hit].items():
                 t2 = (p2, mono_mul(m2, delta))
-                if t2 == term:
-                    continue  # the leading term cancels exactly
-                v = work.get(t2, _ZERO) - coeff * c2
-                if v:
-                    work[t2] = v
-                else:
-                    work.pop(t2, None)
+                if t2 != term:  # the leading term cancels exactly
+                    add(t2, -coeff * c2)
             if track:
                 d = el_cofs.setdefault(hit, {})
                 d[delta] = d.get(delta, _ZERO) + coeff
@@ -148,7 +205,7 @@ class _LiftState:
     """
 
     __slots__ = ("ring", "m", "l", "d", "F", "R", "G", "C", "V",
-                 "lg", "lg_poly", "order", "term_key", "xbasis",
+                 "lg", "lg_poly", "order", "xbasis",
                  "ideal_exprs", "n_ideal", "vhat_lookup", "vhat_rows",
                  "vhat_T", "gbt", "next_error")
 
@@ -165,7 +222,6 @@ class _LiftState:
         self.lg = {}
         self.lg_poly = {}
         self.order = 0
-        self.term_key = lambda t: (ring.monomial_key(t[1]), -t[0])
         self.xbasis = None
         self.ideal_exprs = None
         self.n_ideal = 0
@@ -278,28 +334,43 @@ def _lowest_g_basis(state):
     state.gbt = tuple(out)
 
 
+def _fr_into(acc, Fa, Rb):
+    """acc[s] += (Fa * Rb)[0, s]: the rows of transpose(Fa * Rb), added to
+    the per-row term dicts `acc`."""
+    for f, row in zip(Fa.entries[0], Rb.entries):
+        fd = f.terms_dict
+        if fd:
+            for s, r in enumerate(row):
+                if r.terms_dict:
+                    _fd_mul_into(acc[s], fd, r.terms_dict)
+
+
+def _cg_into(acc, Cc, Gg):
+    """acc[i] += (Cc * Gg)[i, 0] for an l x d matrix Cc and a d x 1 Gg."""
+    gcol = [row[0].terms_dict for row in Gg.entries]
+    for a, row in zip(acc, Cc.entries):
+        for c, gd in zip(row, gcol):
+            if gd and c.terms_dict:
+                _fd_mul_into(a, c.terms_dict, gd)
+
+
 def _error_term(state, target):
-    """The order-`target` part of transpose(F*R) + C*G from known pieces.
+    """The order-`target` part of transpose(F*R) + C*G from known pieces, as
+    one term dict per relation.
 
     At the start of the step that computes order `target` the pieces F, R
     and G of that order do not exist yet, so this is the error that step
-    must cancel; once they are stored it is the part the step must zero.
+    must cancel.
     """
-    ring = state.ring
-    total = PolyMatrix.zero(ring, state.l, 1)
+    acc = [{} for _ in range(state.l)]
     for a in range(max(0, target - len(state.R) + 1),
                    min(target, len(state.F) - 1) + 1):
-        b = target - a
-        Fa = state.F[a]
-        Rb = state.R[b]
-        if Fa.is_zero() or Rb.is_zero():
-            continue
-        total = total + (Fa * Rb).transpose()
+        _fr_into(acc, state.F[a], state.R[target - a])
     for cc, Cp in state.C.items():
         Gp = state.G.get(target - cc)
-        if Gp is not None and not Cp.is_zero():
-            total = total + Cp * Gp
-    return total
+        if Gp is not None:
+            _cg_into(acc, Cp, Gp)
+    return acc
 
 
 def _phase_a(state, nf, target):
@@ -321,12 +392,10 @@ def _phase_a(state, nf, target):
     g_new = {}
     c_new = {}
     b_sub = {}
-    work = dict(nf)
-    while work:
-        term = max(work, key=state.term_key)
-        coeff = work.pop(term)
-        if not coeff:
-            continue
+    work = _TermQueue(ring, nf)
+    add = work.add
+    while (top := work.pop()) is not None:
+        term, coeff = top
         pos, mono = term
         xm = mono[:nx] + (0,) * ntail
         tm = (0,) * nx + mono[nx:]
@@ -345,13 +414,8 @@ def _phase_a(state, nf, target):
                     b_sub[t2] = v
                 else:
                     b_sub.pop(t2, None)
-                if t2 == term:
-                    continue
-                w = work.get(t2, _ZERO) - coeff * hc
-                if w:
-                    work[t2] = w
-                else:
-                    work.pop(t2, None)
+                if t2 != term:
+                    add(t2, -coeff * hc)
             for k, ufd in urep.items():
                 acc = c_new.setdefault((pos, k), {})
                 _fd_mul_into(acc, {base: -coeff}, ufd)
@@ -363,13 +427,8 @@ def _phase_a(state, nf, target):
                 "unliftable obstruction term" % (target - 1, pos))
         for t0, c2 in state.vhat_rows[j]:
             t2 = (t0[0], mono_mul(t0[1], tm))
-            if t2 == term:
-                continue
-            w = work.get(t2, _ZERO) - coeff * c2
-            if w:
-                work[t2] = w
-            else:
-                work.pop(t2, None)
+            if t2 != term:
+                add(t2, -coeff * c2)
         for k, tk in enumerate(state.vhat_T[j]):
             if tk:
                 acc = g_new.setdefault(k, {})
@@ -386,51 +445,52 @@ def _lift_step(state):
     identity transpose(F*R) + C*G is now exactly zero.
 
     The error to cancel is the part of order `target` that the previous
-    check computed.  After the new pieces are stored, that part must vanish
-    (LiftError otherwise); closure is decided from the parts above it.
+    check computed.  It is reduced once, tracked; phase A turns its normal
+    form into new G and C contributions, and the correction V*g - b_sub
+    they make to the residual is reduced on its own, only when it is
+    nonempty.  Reduction is linear, so the two normal forms and cofactors
+    add up to those of the whole residual.  As each new piece is stored,
+    its products of order `target` are added to the error, which gives the
+    exact order-`target` part of the identity; it must vanish (LiftError
+    otherwise).  Closure is decided from the parts above it.
     """
     target = state.order + 1
     ring = state.ring
     m, l = state.m, state.l
 
-    E = state.next_error
-    ed = {}
-    for i in range(l):
-        for mo, c in E[i, 0].terms_dict.items():
-            ed[(i, mo)] = c
-    nf, _ = state.xbasis.reduce(ed)
+    part = state.next_error
+    ed = {(i, mo): c for i, row in enumerate(part) for mo, c in row.items()}
+    nf, cofs = state.xbasis.reduce(ed, track=True)
     g_new, c_new, b_sub = _phase_a(state, nf, target)
 
-    # Exact residual: error + V*g - (part absorbed through C).  It lies in
-    # the module spanned by the relation and ideal columns, whose tracked
-    # cofactors give the new F and R pieces.
-    res = dict(ed)
-    if g_new:
+    # The exact residual error + V*g - b_sub lies in the module spanned by
+    # the relation and ideal columns, whose tracked cofactors give the new
+    # F and R pieces.
+    gmat = None
+    if any(fd for fd in g_new.values()):
+        rdeg = state.V.col_degrees
+        cdeg = ((0,) * ring.grading_rank,) if rdeg is not None else None
         gmat = PolyMatrix(ring, [[Polynomial(ring, g_new.get(k, {}))]
-                                 for k in range(state.d)])
-        Vg = state.V * gmat
-        for i in range(l):
-            for mo, c in Vg[i, 0].terms_dict.items():
-                v = res.get((i, mo), _ZERO) + c
-                if v:
-                    res[(i, mo)] = v
-                else:
-                    res.pop((i, mo), None)
-    for t2, c in b_sub.items():
-        v = res.get(t2, _ZERO) - c
-        if v:
-            res[t2] = v
-        else:
-            res.pop(t2, None)
-    nf2, cofs = state.xbasis.reduce(res, track=True)
-    if nf2:
+                                 for k in range(state.d)],
+                          row_degrees=rdeg, col_degrees=cdeg)
+    vg = [{} for _ in range(l)]  # V*g, which is also C[0]*G[target]
+    if gmat is not None:
+        _cg_into(vg, state.V, gmat)
+    corr = {(i, mo): c for i, row in enumerate(vg) for mo, c in row.items()}
+    _fd_add_into(corr, b_sub, -1)
+    if corr:
+        nf2, cofs2 = state.xbasis.reduce(corr, track=True)
+        _fd_add_into(nf, nf2)
+        for idx, fd in cofs2.items():
+            _fd_add_into(cofs.setdefault(idx, {}), fd)
+    if nf:
         raise LiftError("residual fails to decompose at order %d" % target)
 
     zero = Polynomial.zero(ring)
     f_polys = [zero] * m
     r_acc = [[{} for _ in range(l)] for _ in range(m)]
     ng = state.n_ideal
-    for idx, fd in (cofs or {}).items():
+    for idx, fd in cofs.items():
         if idx < m:
             f_polys[idx] = Polynomial(ring, {mo: -c for mo, c in fd.items()})
         else:
@@ -443,15 +503,16 @@ def _lift_step(state):
                                for j in range(m)]))
     _require_order(state.F[target], target, "F")
     _require_order(state.R[target], target, "R")
+    _fr_into(part, state.F[target], state.R[0])
+    _fr_into(part, state.F[0], state.R[target])
 
-    if any(fd for fd in g_new.values()):
-        gcol = [Polynomial(ring, g_new.get(k, {})) for k in range(state.d)]
-        rdeg = state.V.col_degrees
-        cdeg = ((0,) * ring.grading_rank,) if rdeg is not None else None
-        state.G[target] = PolyMatrix(ring, [[p] for p in gcol],
-                                     row_degrees=rdeg, col_degrees=cdeg)
-        _require_order(state.G[target], target, "G")
-        for k, p in enumerate(gcol):
+    if gmat is not None:
+        state.G[target] = gmat
+        _require_order(gmat, target, "G")
+        for a, row in zip(part, vg):
+            _fd_add_into(a, row)
+        for k in range(state.d):
+            p = gmat[k, 0]
             if not p.is_zero() and k not in state.lg:
                 state.lg[k] = target
                 state.lg_poly[k] = p
@@ -469,14 +530,16 @@ def _lift_step(state):
                 rows[pos][k] = p
             addition = PolyMatrix(ring, rows)
             _require_order(addition, o, "C")
+            # the addition sits in the columns of G rows whose lowest piece
+            # has order target - o, so this is its only product of order target
+            _cg_into(part, addition, state.G[target - o])
             have = state.C.get(o)
             state.C[o] = addition if have is None else have + addition
 
     state.order = target
-    bad = _identity_defect(state, target)
-    if bad == target:
+    if any(part):
         raise LiftError("lifting identity fails through order %d" % target)
-    return bad is None
+    return _identity_defect(state, target + 1) is None
 
 
 def _identity_defect(state, low):
@@ -486,10 +549,12 @@ def _identity_defect(state, low):
     Every piece has the parameter order of its index, so the order-j part is
     _error_term(state, j), and a piece stored at step k only adds to parts
     of order k and above (an addition to C[o] at step k sits in the columns
-    of G rows whose lowest piece has order k - o).  Parts are computed
-    upwards from `low` to the highest order any product reaches, stopping
-    at the first that is not zero; the order-(state.order + 1) part is kept
-    as the next step's error term.
+    of G rows whose lowest piece has order k - o).  Parts are computed from
+    scratch upwards from `low` to the highest order any product reaches,
+    stopping at the first that is not zero; the order-(state.order + 1)
+    part is kept as the next step's error term, and the step that lifts to
+    that order completes the part from the products of its new pieces
+    instead of computing it again.
     """
     if state.l == 0:
         return None
@@ -500,7 +565,7 @@ def _identity_defect(state, low):
         part = _error_term(state, j)
         if j == state.order + 1:
             state.next_error = part
-        if not part.is_zero():
+        if any(part):
             return j
     return None
 

@@ -1367,10 +1367,11 @@ def _as_degree(d):
 
 
 def monomials_of_degree(ring, d):
-    """All x-block monomials of multidegree d, largest first.
+    """All x-block monomials of multidegree d, largest first, as a tuple.
 
     Requires a graded ring with componentwise nonnegative, nonzero variable
     degrees (validated at ring construction), which makes the answer finite.
+    The answer is memoised on the ring, one entry per degree.
     """
     if not ring.is_graded:
         raise GradingError("ring %r has no grading" % (ring,))
@@ -1379,7 +1380,10 @@ def monomials_of_degree(ring, d):
     if len(d) != rank:
         raise GradingError("degree %r has rank != %d" % (d, rank))
     if any(c < 0 for c in d):
-        return []
+        return ()
+    memo = ring._degree_memo
+    if d in memo:
+        return memo[d]
     degs = ring.x_degrees
     n = len(degs)
     nt = ring.nt
@@ -1403,8 +1407,8 @@ def monomials_of_degree(ring, d):
         current[i] = 0
 
     rec(0, d)
-    key = ring.monomial_key
-    out.sort(key=key, reverse=True)
+    out.sort(key=ring.monomial_key, reverse=True)
+    memo[d] = out = tuple(out)
     return out
 
 

@@ -29,7 +29,8 @@ class RingSpec:
     which keeps all degree-piece enumerations finite.
     """
 
-    __slots__ = ("x_vars", "t_vars", "x_degrees", "t_degrees", "_index", "_key_memo")
+    __slots__ = ("x_vars", "t_vars", "x_degrees", "t_degrees", "_index",
+                 "_key_memo", "_degree_memo")
 
     def __init__(self, x_vars, t_vars=(), x_degrees=None, t_degrees=None):
         self.x_vars = tuple(x_vars)
@@ -61,6 +62,7 @@ class RingSpec:
                         "variable %s has non-positive degree %r" % (v, d))
         self._index = {n: i for i, n in enumerate(names)}
         self._key_memo = {}
+        self._degree_memo = {}
 
     # -- basic shape ----------------------------------------------------
 
@@ -157,6 +159,12 @@ class RingSpec:
                 self._key_memo[mono] = key
         return key
 
+    def descending_key(self, mono):
+        """Sort key for largest first: monomial_key negated componentwise."""
+        nx = self.nx
+        xm, tm = mono[:nx], mono[nx:]
+        return (-sum(xm), xm[::-1], -sum(tm), tm[::-1])
+
 
 def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
@@ -174,10 +182,6 @@ def mono_div(a, b):
 
 def mono_lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def mono_gcd(a, b):
-    return tuple(x if x < y else y for x, y in zip(a, b))
 
 
 class Polynomial:

@@ -6,18 +6,26 @@ specializing the parameters to rational points and comparing staircase
 sizes against the central fibre.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from versal import (
     LiftError,
+    PolyMatrix,
     RingSpec,
+    TangentBasis,
     VersalError,
     as_generator_matrix,
     buchberger,
+    extend_with_parameters,
+    first_syzygies,
     format_expr,
     hilbert_function,
+    load_input,
     parameter_ring,
     parse_expr,
     versal_deformation,
@@ -30,6 +38,10 @@ from versal.deformation import (
     MSG_POLYNOMIAL,
     MSG_RELATIONS,
 )
+from versal.polyring import mono_div, mono_divides, mono_mul
+
+DIAGONAL_FILE = (Path(__file__).resolve().parents[1]
+                 / "demos" / "data" / "diagonal_p2cubed.vdef")
 
 
 def cone_generators():
@@ -195,6 +207,24 @@ def test_cone_truncation():
     assert not defect.t_piece(3).is_zero()
 
 
+def test_obstruction_basis_off_normal_form(cone):
+    # a relation added to an obstruction vector presents the same T2, but
+    # the correction V*g - b_sub of a step then has cofactors of its own,
+    # which the lift must add to those of the error term
+    F0m = as_generator_matrix(cone_generators())
+    R0 = first_syzygies(F0m)
+    V = cone.obstruction.vectors
+    rows = [list(r) for r in V.entries]
+    for i in range(V.rows):
+        rows[i][0] = rows[i][0] + R0[0, i]
+    t2 = TangentBasis(PolyMatrix(V.ring, rows, V.row_degrees, V.col_degrees),
+                      cone.obstruction.degrees)
+    res = versal_deformation(cone_generators(), t2=t2)
+    assert res.polynomial and res.order == 3
+    assert res.obstruction_equations() == cone.obstruction_equations()
+    assert identity_defect(res).is_zero()
+
+
 def test_cone_logger_streams_the_log():
     seen = []
     res = versal_deformation(cone_generators(), logger=seen.append)
@@ -264,7 +294,8 @@ def corrupt_first_cofactor(monkeypatch, change):
     monkeypatch.setattr(deformation._XBasis, "reduce", corrupted)
     with pytest.raises(LiftError) as err:
         versal_deformation(nonclosing_generators(), degree=(0,), max_order=6)
-    # one tracked reduction per order, starting at order 2
+    # one tracked reduction per order, starting at order 2: T2 = 0, so the
+    # correction V*g - b_sub is always empty and only the error is reduced
     assert used.index(True) == len(used) - 1
     return len(used) + 1, str(err.value)
 
@@ -285,6 +316,137 @@ def test_piece_of_mixed_order_is_caught(monkeypatch):
     order, message = corrupt_first_cofactor(monkeypatch, add_higher_term)
     assert message == \
         "F piece of order %d has terms of another order" % order
+
+
+def test_each_order_part_is_computed_once(monkeypatch):
+    # a load-independent work gate: every part of transpose(F*R) + C*G goes
+    # through _error_term once, from the first-order check (orders 0-2) to
+    # the last step (order 7, the first part beyond the cut)
+    real = deformation._error_term
+    calls = Counter()
+
+    def counted(state, target):
+        calls[target] += 1
+        return real(state, target)
+
+    monkeypatch.setattr(deformation, "_error_term", counted)
+    res = versal_deformation(nonclosing_generators(), degree=(0,), max_order=6)
+    assert res.order == 6 and not res.polynomial
+    assert calls == Counter(range(8))
+
+
+# -- the heap-ordered reduction against a plain one -------------------------
+
+def plain_reduce(xb, col):
+    """Reference for _XBasis.reduce: the same reducers, with the next term
+    picked by max() over the whole work dict."""
+    key = lambda t: (xb.ring.monomial_key(t[1]), -t[0])
+    work = {t: c for t, c in col.items() if c}
+    nf = {}
+    el_cofs = {}
+    while work:
+        term = max(work, key=key)
+        coeff = work.pop(term)
+        pos, mono = term
+        hit = next((idx for idx in xb.by_pos.get(pos, ())
+                    if mono_divides(xb.leads[idx][1], mono)), None)
+        if hit is None:
+            nf[term] = coeff
+            continue
+        delta = mono_div(mono, xb.leads[hit][1])
+        for (p2, m2), c2 in xb.vecs[hit].items():
+            t2 = (p2, mono_mul(m2, delta))
+            if t2 != term:
+                work[t2] = work.get(t2, 0) - coeff * c2
+                if not work[t2]:
+                    del work[t2]
+        d = el_cofs.setdefault(hit, {})
+        d[delta] = d.get(delta, 0) + coeff
+    cofs = {}
+    for idx, mult in el_cofs.items():
+        for i, expr in xb.exprs[idx].items():
+            acc = cofs.setdefault(i, {})
+            for m1, c1 in mult.items():
+                for m2, c2 in expr.items():
+                    mm = mono_mul(m1, m2)
+                    acc[mm] = acc.get(mm, 0) + c1 * c2
+    return nf, {i: clean(fd) for i, fd in cofs.items() if clean(fd)}
+
+
+def clean(fd):
+    return {k: c for k, c in fd.items() if c}
+
+
+def added(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return clean(out)
+
+
+def xbasis_of(gens):
+    """The reduction basis a lift of `gens` uses, over two parameters."""
+    F0m = as_generator_matrix(gens)
+    R0 = first_syzygies(F0m)
+    gb0, _, _ = deformation._reduction_setup(F0m, R0)
+    St, _ = extend_with_parameters(RingSpec(F0m.ring.x_vars, ()), 2)
+    return deformation._XBasis(gb0, St), R0.cols
+
+
+def random_column(rng, xb, l, size):
+    """Terms (pos, x-monomial * t-monomial of order 1 to 3); half of them
+    are multiples of a leading term, so that reductions happen."""
+    nx, nt = xb.ring.nx, xb.ring.nt
+    col = {}
+    for _ in range(size):
+        if rng.random() < 0.5:
+            pos, lead = rng.choice(xb.leads)
+            x = mono_mul(lead[:nx], tuple(rng.randint(0, 1) for _ in range(nx)))
+        else:
+            pos = rng.randrange(l)
+            x = tuple(rng.randint(0, 2) for _ in range(nx))
+        t = [0] * nt
+        for _ in range(rng.randint(1, 3)):
+            t[rng.randrange(nt)] += 1
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
+        col[(pos, x + tuple(t))] = c
+    return col
+
+
+@pytest.fixture(scope="module", params=["diagonal", "nonclosing"])
+def xbasis(request):
+    if request.param == "diagonal":
+        return xbasis_of(load_input(DIAGONAL_FILE).generators)
+    return xbasis_of(nonclosing_generators())
+
+
+def test_heap_reduction_matches_plain_max_loop(xbasis):
+    xb, l = xbasis
+    rng = random.Random(6061)
+    for _ in range(12):
+        col = random_column(rng, xb, l, rng.randint(1, 12))
+        nf, cofs = xb.reduce(col, track=True)
+        assert (nf, cofs) == plain_reduce(xb, col)
+        assert xb.reduce(col)[0] == nf
+
+
+def test_reduction_is_linear(xbasis):
+    # the lift reduces the error and its correction apart and adds the
+    # results; that equals reducing their sum only if reduce is linear
+    xb, l = xbasis
+    rng = random.Random(6062)
+    for _ in range(12):
+        a = random_column(rng, xb, l, rng.randint(1, 10))
+        b = random_column(rng, xb, l, rng.randint(1, 10))
+        for t in rng.sample(sorted(a), len(a) // 2):
+            b[t] = -a[t]  # cancel some terms of a exactly
+        nf_a, cofs_a = xb.reduce(a, track=True)
+        nf_b, cofs_b = xb.reduce(b, track=True)
+        nf, cofs = xb.reduce(added(a, b), track=True)
+        assert nf == added(nf_a, nf_b)
+        summed = {i: added(cofs_a.get(i, {}), cofs_b.get(i, {}))
+                  for i in set(cofs_a) | set(cofs_b)}
+        assert cofs == {i: fd for i, fd in summed.items() if fd}
 
 
 # -- multigraded Hilbert scheme germ ----------------------------------------
@@ -325,3 +487,27 @@ def test_parameters_in_input_rejected():
     St, _ = extend_with_parameters(base, 1)
     with pytest.raises(VersalError):
         versal_deformation([parse_expr("x^2 + t1", St)])
+
+
+@pytest.mark.parametrize("order", [4, 5, 6])
+def test_wrong_coefficient_addition_is_caught(monkeypatch, order):
+    # on the diagonal germ phase A adds to C at orders 4-6, the only lift
+    # here whose C*G products are nonzero; a doubled addition must fail the
+    # identity at the order of the step that made it
+    real = deformation._phase_a
+    doubled = []
+
+    def corrupted(state, nf, target):
+        g_new, c_new, b_sub = real(state, nf, target)
+        if target == order:
+            key = min(k for k, fd in c_new.items() if fd)
+            c_new[key] = {m: 2 * c for m, c in c_new[key].items()}
+            doubled.append(key)
+        return g_new, c_new, b_sub
+
+    monkeypatch.setattr(deformation, "_phase_a", corrupted)
+    with pytest.raises(LiftError) as err:
+        versal_deformation(load_input(DIAGONAL_FILE).generators,
+                           degree=(0, 0, 0))
+    assert len(doubled) == 1
+    assert str(err.value) == "lifting identity fails through order %d" % order

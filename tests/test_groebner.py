@@ -214,6 +214,16 @@ def test_monomials_of_degree_counts():
         assert len(monomials_of_degree(R3, (d,))) == comb(d + 2, 2)
 
 
+def test_monomials_of_degree_memoised_per_ring():
+    ring = RingSpec(("x", "y", "z"), (), ((1,),) * 3)
+    first = monomials_of_degree(ring, (3,))
+    # one shared answer per (ring, degree), which no caller can change
+    assert isinstance(first, tuple)
+    assert monomials_of_degree(ring, 3) is first
+    assert monomials_of_degree(R3, (3,)) == first
+    assert monomials_of_degree(ring, (-1,)) == ()
+
+
 def test_hilbert_function_hyperplane():
     gb = buchberger([poly("x")])
     for d in range(5):
