@@ -63,8 +63,6 @@ def _build_parser():
     p.add_argument("--max-order", type=int, default=None, metavar="K",
                    help="stop lifting after parameter order K (default %d)"
                         % DEFAULT_MAX_ORDER)
-    p.add_argument("--smart-lift", action="store_true",
-                   help=argparse.SUPPRESS)
     p = sub.add_parser("gb", help="reduced Groebner basis")
     common(p, degree=False)
     p = sub.add_parser("hilbert", help="Hilbert function values")
@@ -198,10 +196,6 @@ def _deform_command(args, system):
 
 
 def _dispatch(args):
-    if getattr(args, "smart_lift", False):
-        raise _UsageError(
-            "the smart lifting strategy is not implemented; rerun without "
-            "--smart-lift")
     system = load_input(args.input)
     if args.command in ("t1", "t2", "normal"):
         doc, text = _tangent_command(args.command, args, system)

@@ -25,6 +25,7 @@ from .exactla import SparseMatrix, kernel_basis, rref
 from .groebner import (
     PolyMatrix,
     _homogeneous_column_degrees,
+    _ideal_unit_columns,
     _preimage_basis,
     buchberger,
     kernel_mod_ideal,
@@ -375,17 +376,6 @@ def cotangent2(F0, degree=None):
 # ---------------------------------------------------------------------------
 # full (local) spaces via subquotient presentations
 # ---------------------------------------------------------------------------
-
-
-def _ideal_unit_columns(ring, gens, rank):
-    zero = Polynomial.zero(ring)
-    cols = []
-    for pos in range(rank):
-        for h in gens:
-            col = [zero] * rank
-            col[pos] = h
-            cols.append(col)
-    return cols
 
 
 def _strip_degrees(M):

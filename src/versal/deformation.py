@@ -37,10 +37,10 @@ from .cotangent import (as_generator_matrix, cotangent1, cotangent2,
                         first_syzygies, normal_matrix)
 from .errors import LiftError, ObstructionError, VersalError
 from .exactla import SparseMatrix, rref_with_transform
-from .groebner import (FreeModuleElement, PolyMatrix, buchberger,
-                       module_quotient_lift)
-from .polyring import (Polynomial, RingSpec, extend_with_parameters,
-                       mono_div, mono_divides, mono_mul)
+from .groebner import (FreeModuleElement, PolyMatrix, _ideal_unit_columns,
+                       buchberger, module_quotient_lift)
+from .polyring import (Polynomial, RingSpec, add_into, extend_with_parameters,
+                       mono_div, mono_divides, mono_mul, mul_into)
 
 MSG_FIRST_ORDER = "Calculating first order deformations and obstruction space"
 MSG_RELATIONS = "Calculating first order relations"
@@ -49,29 +49,6 @@ MSG_ORDER = "Order %d"
 MSG_POLYNOMIAL = "Solution is polynomial"
 
 _ZERO = Fraction(0)
-
-
-def _fd_mul_into(acc, a, b, sign=1):
-    """acc += sign * a * b for fraction-coefficient monomial dicts."""
-    for m1, c1 in a.items():
-        c1 = sign * c1
-        for m2, c2 in b.items():
-            mm = mono_mul(m1, m2)
-            v = acc.get(mm, _ZERO) + c1 * c2
-            if v:
-                acc[mm] = v
-            else:
-                acc.pop(mm, None)
-
-
-def _fd_add_into(acc, b, sign=1):
-    """acc += sign * b for dicts of fraction coefficients."""
-    for t, c in b.items():
-        v = acc.get(t, _ZERO) + sign * c
-        if v:
-            acc[t] = v
-        else:
-            acc.pop(t, None)
 
 
 class _TermQueue:
@@ -189,7 +166,7 @@ class _XBasis:
         for idx, mult in el_cofs.items():
             for i, expr in self.exprs[idx].items():
                 acc = input_cofs.setdefault(i, {})
-                _fd_mul_into(acc, mult, expr)
+                mul_into(acc, mult, expr)
         return nf, {i: fd for i, fd in input_cofs.items() if fd}
 
 
@@ -258,11 +235,8 @@ def _reduction_setup(F0m, R0):
         ideal_exprs.append({nz[i][0]: poly for i, poly in cofs.items()})
     hpolys = gbI.polynomials()
     l = R0.cols
-    zero = Polynomial.zero(base)
     cols = PolyMatrix(base, R0.entries).transpose().columns()
-    for pos in range(l):
-        for h in hpolys:
-            cols.append([h if i == pos else zero for i in range(l)])
+    cols += _ideal_unit_columns(base, hpolys, l)
     block = PolyMatrix.from_columns(base, l, cols)
     gb0 = buchberger(block, track=True)
     return gb0, ideal_exprs, len(hpolys)
@@ -342,7 +316,7 @@ def _fr_into(acc, Fa, Rb):
         if fd:
             for s, r in enumerate(row):
                 if r.terms_dict:
-                    _fd_mul_into(acc[s], fd, r.terms_dict)
+                    mul_into(acc[s], fd, r.terms_dict)
 
 
 def _cg_into(acc, Cc, Gg):
@@ -351,7 +325,7 @@ def _cg_into(acc, Cc, Gg):
     for a, row in zip(acc, Cc.entries):
         for c, gd in zip(row, gcol):
             if gd and c.terms_dict:
-                _fd_mul_into(a, c.terms_dict, gd)
+                mul_into(a, c.terms_dict, gd)
 
 
 def _error_term(state, target):
@@ -418,7 +392,7 @@ def _phase_a(state, nf, target):
                     add(t2, -coeff * hc)
             for k, ufd in urep.items():
                 acc = c_new.setdefault((pos, k), {})
-                _fd_mul_into(acc, {base: -coeff}, ufd)
+                mul_into(acc, {base: -coeff}, ufd)
             continue
         j = state.vhat_lookup.get((pos, xm))
         if j is None:
@@ -477,12 +451,12 @@ def _lift_step(state):
     if gmat is not None:
         _cg_into(vg, state.V, gmat)
     corr = {(i, mo): c for i, row in enumerate(vg) for mo, c in row.items()}
-    _fd_add_into(corr, b_sub, -1)
+    add_into(corr, b_sub, -1)
     if corr:
         nf2, cofs2 = state.xbasis.reduce(corr, track=True)
-        _fd_add_into(nf, nf2)
+        add_into(nf, nf2)
         for idx, fd in cofs2.items():
-            _fd_add_into(cofs.setdefault(idx, {}), fd)
+            add_into(cofs.setdefault(idx, {}), fd)
     if nf:
         raise LiftError("residual fails to decompose at order %d" % target)
 
@@ -496,7 +470,7 @@ def _lift_step(state):
         else:
             pos, gi = divmod(idx - m, ng)
             for j, expr in state.ideal_exprs[gi].items():
-                _fd_mul_into(r_acc[j][pos], fd, expr, -1)
+                mul_into(r_acc[j][pos], fd, expr, -1)
     state.F.append(PolyMatrix(ring, [f_polys]))
     state.R.append(PolyMatrix(ring,
                               [[Polynomial(ring, r_acc[j][s]) for s in range(l)]
@@ -510,7 +484,7 @@ def _lift_step(state):
         state.G[target] = gmat
         _require_order(gmat, target, "G")
         for a, row in zip(part, vg):
-            _fd_add_into(a, row)
+            add_into(a, row)
         for k in range(state.d):
             p = gmat[k, 0]
             if not p.is_zero() and k not in state.lg:

@@ -2,23 +2,28 @@
 
 The engine works on integer-scaled sparse vectors ("ivecs": dicts mapping
 (position, monomial) to int) under a term-over-position order extending the
-ring's monomial order.  Reductions are fraction-free with an explicit scale
-factor, and optionally carry division bookkeeping, which is what powers
-syzygy extraction and matrix quotient lifts.
+ring's monomial order.  Every input column enters through one path
+(`_Engine.add_column`, which clears denominators and records the column's
+unit expression), and every reduction -- of S-pairs, of tails during
+interreduction, of normal forms -- runs through one fraction-free loop
+(`_Engine.reduce_full`) with an explicit scale factor.  The engine has four
+options: `track` carries each element's expression in the inputs, which
+powers normal forms with cofactors and matrix quotient lifts;
+`record_syzygies` also records the syzygies of the inputs; `rep_window`
+keeps only the first inputs in those expressions; `eliminate` sets up an
+elimination order.
 
 Module pairs are only formed between elements with the same leading position.
 The product criterion is applied only to pairs of elements concentrated in a
 single position (it is false for general module elements), and when syzygies
 are being recorded such a skipped pair contributes its explicit Koszul
-syzygy; the chain criterion is switched off entirely in syzygy-recording
-runs so that the recorded S-pair reductions generate the whole syzygy
-module.
+syzygy; the chain criterion is off exactly when syzygies are recorded, so
+that the recorded S-pair reductions generate the whole syzygy module.
 
-An engine may instead be given an elimination block: positions below a bound
-then rank above every other position, with term-over-position inside each
-block.  That is how module preimages {a : U a in W} are computed
-(`_preimage_basis`): no syzygies are recorded there, so the chain criterion
-stays on.
+With an elimination block, positions below a bound rank above every other
+position, with term-over-position inside each block.  That is how module
+preimages {a : U a in W} are computed (`_preimage_basis`): no syzygies are
+recorded there, so the chain criterion stays on.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .polyring import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    mul_into,
 )
 
 # ---------------------------------------------------------------------------
@@ -305,25 +311,6 @@ def _fp_scale(fp, q):
     return {m: c * q for m, c in fp.items()}
 
 
-def _fp_add_scaled(acc, fp, q, shift=None):
-    """acc += q * x^shift * fp, in place."""
-    if not q:
-        return
-    for m, c in fp.items():
-        key = mono_mul(m, shift) if shift else m
-        s = acc.get(key, 0) + c * q
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
-
-
-def _fp_mul_int_poly(acc, ipoly, fp, sign=1):
-    """acc += sign * ipoly * fp for an int-coefficient poly dict."""
-    for dm, dc in ipoly.items():
-        _fp_add_scaled(acc, fp, Fraction(sign * dc), dm)
-
-
 class _Element:
     __slots__ = ("vec", "lt", "lc", "conc", "rep")
 
@@ -336,16 +323,27 @@ class _Element:
 
 
 class _Engine:
-    """Buchberger completion over ivecs with optional bookkeeping."""
+    """Buchberger completion over ivecs with optional bookkeeping.
+
+    Every input column enters through `add_column`, and every reduction
+    (S-pairs, interreduction, normal forms) goes through `reduce_full`.
+    Options:
+
+    * track: keep each element's expression (`rep`) in the inputs;
+    * record_syzygies: also record syzygies of the inputs; implies track and
+      switches the chain criterion off;
+    * rep_window: keep only inputs below this index in expressions and
+      syzygies;
+    * eliminate: positions below this bound rank above all others.
+    """
 
     def __init__(self, ring, rank, *, track=False, record_syzygies=False,
-                 use_chain=True, rep_window=None, eliminate=None):
+                 rep_window=None, eliminate=None):
         self.ring = ring
         self.rank = rank
         self.track = track or record_syzygies
         self.record_syzygies = record_syzygies
         self.rep_window = rep_window
-        self.use_chain = use_chain and not record_syzygies
         self.basis = []
         self.by_pos = {}
         self.heap = []
@@ -387,23 +385,22 @@ class _Engine:
                 rep = {i: fp for i, fp in rep.items() if fp}
         return vec, rep
 
-    def add_input(self, vec, rep=None):
-        """Add an input generator; `vec` is an ivec, `rep` its expression in
-        the original generators (defaults to a fresh unit)."""
+    def add_column(self, col):
+        """Add a list of Polynomials as the next input generator.
+
+        Its ivec is den * col (den clears the denominators), so its
+        expression is den times its unit vector.
+        """
+        vec, den = _column_to_ivec(col)
         idx = self.n_inputs
         self.n_inputs += 1
+        kept = self.rep_window is None or idx < self.rep_window
+        unit = {idx: {self.ring.zero_mono(): Fraction(den)}} if kept else {}
         if not vec:
-            if self.record_syzygies and (self.rep_window is None or idx < self.rep_window):
-                self.syzygies.append({idx: {self.ring.zero_mono(): Fraction(1)}})
+            if self.record_syzygies and kept:
+                self.syzygies.append(unit)
             return
-        if rep is None:
-            rep = {idx: {self.ring.zero_mono(): Fraction(1)}}
-        if not self.track:
-            rep = None
-        elif self.rep_window is not None:
-            rep = {k: v for k, v in rep.items() if k < self.rep_window}
-        vec, rep = self._normalize(vec, rep)
-        self._append(vec, rep)
+        self._append(*self._normalize(vec, unit if self.track else None))
 
     def _append(self, vec, rep):
         lt, lc, conc = self._analyze(vec)
@@ -441,17 +438,16 @@ class _Engine:
         scj = {m: c for (_, m), c in ej.vec.items()}
         out = {}
         for idx, fp in ei.rep.items():
-            d = out.setdefault(idx, {})
-            _fp_mul_int_poly(d, scj, fp, 1)
+            mul_into(out.setdefault(idx, {}), scj, fp)
         for idx, fp in ej.rep.items():
-            d = out.setdefault(idx, {})
-            _fp_mul_int_poly(d, sci, fp, -1)
+            mul_into(out.setdefault(idx, {}), sci, fp, -1)
         out = {idx: fp for idx, fp in out.items() if fp}
         if out:
             self.syzygies.append(out)
 
     def _chain_skip(self, i, j, lcm_mono, pos):
-        if not self.use_chain:
+        # off when recording syzygies: every S-pair reduction is needed then
+        if self.record_syzygies:
             return False
         for k in self.by_pos.get(pos, ()):
             if k == i or k == j:
@@ -572,27 +568,22 @@ class _Engine:
         if self.track:
             rep = {}
             for idx, fp in ei.rep.items():
-                d = rep.setdefault(idx, {})
-                _fp_add_scaled(d, fp, Fraction(c1), d1)
+                mul_into(rep.setdefault(idx, {}), {d1: c1}, fp)
             for idx, fp in ej.rep.items():
-                d = rep.setdefault(idx, {})
-                _fp_add_scaled(d, fp, Fraction(-c2), d2)
+                mul_into(rep.setdefault(idx, {}), {d2: c2}, fp, -1)
             rep = {idx: fp for idx, fp in rep.items() if fp}
         return vec, rep
 
-    def _combine_rep(self, base_rep, cofs, scale):
-        """rep of scale*spoly - sum(cofs*g) given spoly's rep."""
+    def _combine_rep(self, cofs, sign=-1, base=None, scale=1):
+        """scale*base + sign*sum(cofs[k] * basis[k].rep), an expression in
+        the inputs, for division cofactors `cofs` over the basis."""
         out = {}
-        if base_rep:
-            for idx, fp in base_rep.items():
+        if base:
+            for idx, fp in base.items():
                 out[idx] = _fp_scale(fp, Fraction(scale))
         for k, ipoly in cofs.items():
-            gk = self.basis[k]
-            if not gk.rep:
-                continue
-            for idx, fp in gk.rep.items():
-                d = out.setdefault(idx, {})
-                _fp_mul_int_poly(d, ipoly, fp, -1)
+            for idx, fp in (self.basis[k].rep or {}).items():
+                mul_into(out.setdefault(idx, {}), ipoly, fp, sign)
         return {idx: fp for idx, fp in out.items() if fp}
 
     def complete(self):
@@ -609,30 +600,21 @@ class _Engine:
             self.done.add(pair)
             vec, rep = self.spoly(i, j)
             h, cofs, scale = self.reduce_full(vec, track=self.track)
+            rep_h = None
             if self.track:
-                rep_h = self._combine_rep(rep or {}, cofs or {}, scale)
-            else:
-                rep_h = None
+                rep_h = self._combine_rep(cofs, base=rep, scale=scale)
             if not h:
                 if self.record_syzygies and rep_h:
                     self.syzygies.append(rep_h)
                 continue
-            h, rep_h = self._normalize(h, rep_h)
-            self._append(h, rep_h)
+            self._append(*self._normalize(h, rep_h))
 
     # -- conversions ----------------------------------------------------
 
     def nf_with_input_cofactors(self, vec):
         """(h, input_cofs, scale): scale*vec = h + sum over original inputs."""
         h, cofs, scale = self.reduce_full(vec, track=True)
-        out = {}
-        for k, ipoly in (cofs or {}).items():
-            gk = self.basis[k]
-            for idx, fp in (gk.rep or {}).items():
-                d = out.setdefault(idx, {})
-                _fp_mul_int_poly(d, ipoly, fp, 1)
-        out = {idx: fp for idx, fp in out.items() if fp}
-        return h, out, scale
+        return h, self._combine_rep(cofs, 1), scale
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +644,10 @@ def _ivec_to_polys(vec, ring, rank, scale=1):
     return [Polynomial(ring, d) for d in comps]
 
 
-def _fp_to_poly(fp, ring):
-    return Polynomial(ring, dict(fp))
+def _cofactor_polys(ring, cofs, count, divisor):
+    """Cofactors of inputs 0 .. count-1 as polynomials, divided by `divisor`."""
+    return [Polynomial(ring, {m: c / divisor for m, c in cofs.get(i, {}).items()})
+            for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -759,14 +743,8 @@ class GroebnerBasis:
                 raise VersalError("basis was not built with track=True")
             h, input_cofs, scale = self._engine.nf_with_input_cofactors(vec)
             nf = _ivec_to_polys(h, self.ring, self.rank, scale * den)
-            cof_polys = []
-            for i in range(self._engine.n_inputs):
-                fp = input_cofs.get(i)
-                if fp:
-                    cof_polys.append(
-                        _fp_to_poly({m: c / (scale * den) for m, c in fp.items()}, self.ring))
-                else:
-                    cof_polys.append(Polynomial.zero(self.ring))
+            cof_polys = _cofactor_polys(self.ring, input_cofs,
+                                        self._engine.n_inputs, scale * den)
             result = nf[0] if single else FreeModuleElement(self.ring, nf)
             return result, cof_polys
         h, _, scale = self._engine.reduce_full(vec, track=False)
@@ -774,10 +752,7 @@ class GroebnerBasis:
         return nf[0] if single else FreeModuleElement(self.ring, nf)
 
     def contains(self, x):
-        nf = self.normal_form(x)
-        if isinstance(nf, Polynomial):
-            return nf.is_zero()
-        return nf.is_zero()
+        return self.normal_form(x).is_zero()
 
     def is_finite_quotient(self):
         """True iff S^rank / (this module) is finite-dimensional over QQ,
@@ -850,13 +825,7 @@ def buchberger(gens, *, track=False, row_degrees=None):
         row_degrees = rd
     engine = _Engine(ring, rank, track=track)
     for col in columns:
-        vec, den = _column_to_ivec(col)
-        if track and vec:
-            # the ivec is den * the original column
-            idx = engine.n_inputs
-            engine.add_input(vec, {idx: {ring.zero_mono(): Fraction(den)}})
-        else:
-            engine.add_input(vec)
+        engine.add_column(col)
     engine.complete()
     _interreduce(engine)
     return GroebnerBasis(ring, rank, engine, len(columns), row_degrees=row_degrees,
@@ -887,81 +856,21 @@ def _interreduce(engine):
     for idx, el in enumerate(engine.basis):
         tail = dict(el.vec)
         del tail[el.lt]
-        h, cofs, scale = _reduce_excluding(engine, tail, idx)
+        # el never reduces its own tail: terms it divides are not below el.lt
+        h, cofs, scale = engine.reduce_full(tail, track=engine.track)
         if scale != 1 or h != tail:
-            vec = {el.lt: el.lc * scale}
-            for t, c in h.items():
-                vec[t] = vec.get(t, 0) + c
+            vec = {el.lt: el.lc * scale, **h}
             rep = None
             if engine.track:
-                rep = {}
-                for k, fp in (el.rep or {}).items():
-                    rep[k] = _fp_scale(fp, Fraction(scale))
-                for k, ipoly in (cofs or {}).items():
-                    gk = engine.basis[k]
-                    for r_idx, fp in (gk.rep or {}).items():
-                        d = rep.setdefault(r_idx, {})
-                        _fp_mul_int_poly(d, ipoly, fp, -1)
-                rep = {k: fp for k, fp in rep.items() if fp}
+                rep = engine._combine_rep(cofs, base=el.rep, scale=scale)
             vec, rep = engine._normalize(vec, rep)
-            lt, lc, conc = engine._analyze(vec)
-            engine.basis[idx] = _Element(vec, lt, lc, conc, rep)
+            engine.basis[idx] = _Element(vec, *engine._analyze(vec), rep)
     # canonical ordering
     order = sorted(range(len(engine.basis)), key=lambda i: engine.key(engine.basis[i].lt))
     engine.basis = [engine.basis[i] for i in order]
     engine.by_pos = {}
     for idx, el in enumerate(engine.basis):
         engine.by_pos.setdefault(el.lt[0], []).append(idx)
-
-
-def _reduce_excluding(engine, vec, skip):
-    """Full reduction that never uses basis[skip] as a reducer."""
-    work = dict(vec)
-    result = {}
-    cofs = {} if engine.track else None
-    scale = 1
-    key = engine.key
-    while work:
-        t = max(work, key=key)
-        c = work.pop(t)
-        red = None
-        for idx in engine.by_pos.get(t[0], ()):
-            if idx != skip and mono_divides(engine.basis[idx].lt[1], t[1]):
-                red = idx
-                break
-        if red is None:
-            result[t] = c
-            continue
-        g = engine.basis[red]
-        a = g.lc
-        delta = mono_div(t[1], g.lt[1])
-        if a != 1:
-            for k in work:
-                work[k] *= a
-            for k in result:
-                result[k] *= a
-            if cofs:
-                for d in cofs.values():
-                    for k in d:
-                        d[k] *= a
-            scale *= a
-        for (p2, m2), c2 in g.vec.items():
-            if (p2, m2) == g.lt:
-                continue
-            nt = (p2, mono_mul(m2, delta))
-            s = work.get(nt, 0) - c * c2
-            if s:
-                work[nt] = s
-            else:
-                work.pop(nt, None)
-        if cofs is not None:
-            d = cofs.setdefault(red, {})
-            s = d.get(delta, 0) + c
-            if s:
-                d[delta] = s
-            else:
-                del d[delta]
-    return result, cofs, scale
 
 
 def _preimage_basis(U, w_columns):
@@ -981,9 +890,9 @@ def _preimage_basis(U, w_columns):
     for j, col in enumerate(U.columns()):
         unit = [zero] * u
         unit[j] = one
-        engine.add_input(_column_to_ivec(col + unit)[0])
+        engine.add_column(col + unit)
     for col in w_columns:
-        engine.add_input(_column_to_ivec(list(col) + [zero] * u)[0])
+        engine.add_column(list(col) + [zero] * u)
     engine.complete()
     lower = _Engine(ring, u)
     for el in engine.basis:
@@ -1010,19 +919,11 @@ def _syzygy_columns(F, rep_window=None):
     engine = _Engine(ring, max(F.rows, 1), track=True, record_syzygies=True,
                      rep_window=rep_window)
     for col in F.columns():
-        vec, den = _column_to_ivec(col)
-        idx = engine.n_inputs
-        rep = {idx: {ring.zero_mono(): Fraction(den)}} if vec else None
-        engine.add_input(vec, rep)
+        engine.add_column(col)
     engine.complete()
     width = F.cols if rep_window is None else min(rep_window, F.cols)
-    columns = []
-    for syz in engine.syzygies:
-        col = []
-        for i in range(width):
-            fp = syz.get(i)
-            col.append(_fp_to_poly(fp, ring) if fp else Polynomial.zero(ring))
-        columns.append(col)
+    columns = [[Polynomial(ring, syz.get(i, {})) for i in range(width)]
+               for syz in engine.syzygies]
     columns = [c for c in columns if any(not p.is_zero() for p in c)]
     return _normalize_columns(ring, columns)
 
@@ -1089,6 +990,19 @@ def syzygy_matrix(F, *, minimal=True):
     return out
 
 
+def _ideal_unit_columns(ring, gens, rank):
+    """The columns h*e_pos of S^rank, position-major: every generator h of
+    the ideal at position 0 first, then at position 1, and so on."""
+    zero = Polynomial.zero(ring)
+    cols = []
+    for pos in range(rank):
+        for h in gens:
+            col = [zero] * rank
+            col[pos] = h
+            cols.append(col)
+    return cols
+
+
 def kernel_mod_ideal(M, ideal):
     """Generators of {v in S^cols : M v = 0 in (S/I)^rows}.
 
@@ -1105,29 +1019,8 @@ def kernel_mod_ideal(M, ideal):
         return PolyMatrix.zero(ring, 0, 0)
     if M.rows == 0 or M.is_zero():
         return PolyMatrix.identity(ring, M.cols, degrees=M.col_degrees)
-    unit_cols = []
-    unit_degs = [] if (ring.is_graded and M.row_degrees is not None) else None
-    zero = Polynomial.zero(ring)
-    for pos in range(M.rows):
-        for h in gens:
-            col = [zero] * M.rows
-            col[pos] = h
-            unit_cols.append(col)
-            if unit_degs is not None:
-                hd = h.multi_degree()
-                if hd is None:
-                    unit_degs = None
-                else:
-                    unit_degs.append(
-                        tuple(a + b for a, b in zip(hd, M.row_degrees[pos])))
-    cd = None
-    if unit_degs is not None and M.col_degrees is not None:
-        cd = tuple(M.col_degrees) + tuple(unit_degs)
-    units = PolyMatrix.from_columns(ring, M.rows, unit_cols,
-                                    row_degrees=M.row_degrees)
-    block = PolyMatrix(ring, [list(r1) + list(r2) for r1, r2 in
-                              zip(M.entries, units.entries)],
-                       M.row_degrees, cd)
+    block = PolyMatrix.from_columns(
+        ring, M.rows, M.columns() + _ideal_unit_columns(ring, gens, M.rows))
     columns = _syzygy_columns(block, rep_window=M.cols)
     columns = sorted(columns, key=lambda c: _column_sort_key(ring, c))
     col_degs = None
@@ -1310,17 +1203,12 @@ def module_quotient_lift(A, B, J=None):
     engine = _Engine(ring, max(rank, 1), track=True)
     n_acols = A.cols
     for col in A.columns():
-        vec, den = _column_to_ivec(col)
-        idx = engine.n_inputs
-        rep = {idx: {ring.zero_mono(): Fraction(den)}} if vec else None
-        engine.add_input(vec, rep)
+        engine.add_column(col)
+    # generator-major: this input order steers the tracked cofactors
+    zero = Polynomial.zero(ring)
     for p in j_polys:
         for pos in range(rank):
-            vec, den = _column_to_ivec(
-                [p if q == pos else Polynomial.zero(ring) for q in range(rank)])
-            idx = engine.n_inputs
-            rep = {idx: {ring.zero_mono(): Fraction(den)}} if vec else None
-            engine.add_input(vec, rep)
+            engine.add_column([p if q == pos else zero for q in range(rank)])
     engine.complete()
 
     x_cols = []
@@ -1329,15 +1217,7 @@ def module_quotient_lift(A, B, J=None):
         h, cofs, scale = engine.nf_with_input_cofactors(vec)
         if h:
             return None
-        x_col = []
-        for a_idx in range(n_acols):
-            fp = cofs.get(a_idx)
-            if fp:
-                x_col.append(_fp_to_poly(
-                    {m: c / (scale * den) for m, c in fp.items()}, ring))
-            else:
-                x_col.append(Polynomial.zero(ring))
-        x_cols.append(x_col)
+        x_cols.append(_cofactor_polys(ring, cofs, n_acols, scale * den))
     X = PolyMatrix.from_columns(ring, n_acols, x_cols,
                                 row_degrees=A.col_degrees,
                                 col_degrees=B.col_degrees)

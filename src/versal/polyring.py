@@ -184,6 +184,32 @@ def mono_lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
+_ZERO = Fraction(0)
+
+
+def mul_into(acc, a, b, sign=1):
+    """acc += sign * a * b for fraction-coefficient monomial dicts."""
+    for m1, c1 in a.items():
+        c1 = sign * c1
+        for m2, c2 in b.items():
+            mm = mono_mul(m1, m2)
+            v = acc.get(mm, _ZERO) + c1 * c2
+            if v:
+                acc[mm] = v
+            else:
+                acc.pop(mm, None)
+
+
+def add_into(acc, b, sign=1):
+    """acc += sign * b for dicts of fraction coefficients."""
+    for t, c in b.items():
+        v = acc.get(t, _ZERO) + sign * c
+        if v:
+            acc[t] = v
+        else:
+            acc.pop(t, None)
+
+
 class Polynomial:
     """Immutable sparse polynomial: dict of exponent tuple -> Fraction."""
 

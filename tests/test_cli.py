@@ -233,7 +233,9 @@ def test_missing_file_is_usage_error(capsys):
 
 
 def test_smart_lift_rejected_even_without_file(capsys):
-    assert main(["deform", "/no/such/file.vdef", "--smart-lift"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["deform", "/no/such/file.vdef", "--smart-lift"])
+    assert exc.value.code == 2
     assert "--smart-lift" in capsys.readouterr().err
 
 

@@ -6,6 +6,7 @@ identities (F * syz(F) = 0, Schreyer completeness, Koszul containment).
 """
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -179,6 +180,61 @@ def test_syzygy_matrix_of_regular_sequence_is_koszul():
     col = [S[0, 0], S[1, 0]]
     assert {format_expr(col[0]), format_expr(col[1])} == {"y^2", "-x^2"} or \
            {format_expr(col[0]), format_expr(col[1])} == {"-y^2", "x^2"}
+
+
+def random_fraction_poly(rng, count=2, max_degree=2):
+    monos = [m for d in range(max_degree + 1)
+             for m in monomials_of_degree(R3, (d,))]
+    p = Polynomial.zero(R3)
+    for _ in range(count):
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        p = p + Polynomial.from_monomial(R3, rng.choice(monos), c)
+    return p
+
+
+def module_combination(cofs, columns):
+    total = [Polynomial.zero(R3)] * len(columns[0])
+    for cof, col in zip(cofs, columns):
+        total = [t + cof * p for t, p in zip(total, col)]
+    return total
+
+
+def test_tracked_rank2_module_basis_with_fractions_and_zero_column():
+    rng = random.Random(3)
+    zero = Polynomial.zero(R3)
+    cols = [[random_fraction_poly(rng), random_fraction_poly(rng)]
+            for _ in range(3)]
+    cols.insert(1, [zero, zero])
+    assert any(c.denominator > 1 for col in cols for p in col
+               for c in p.terms_dict.values())
+    gb = buchberger(PolyMatrix.from_columns(R3, 2, cols), track=True)
+    assert gb.n_generators == 4 and len(gb) > 3
+    # every element is its expression in the generators
+    for elem, expr in zip(gb.elements, gb.expressions()):
+        assert 1 not in expr  # the zero column takes no part
+        cofs = [expr.get(i, zero) for i in range(len(cols))]
+        assert module_combination(cofs, cols) == list(elem.components)
+    # a random column is its normal form plus the cofactor combination
+    v = [random_fraction_poly(rng, 3, 3), random_fraction_poly(rng, 3, 3)]
+    nf, cofs = gb.normal_form(v, with_cofactors=True)
+    assert len(cofs) == 4 and cofs[1].is_zero()
+    rebuilt = module_combination(cofs, cols)
+    assert [a + b for a, b in zip(nf.components, rebuilt)] == v
+    # monic and tail-reduced: no term but its own lead is divisible by a lead
+    leads = gb.leading_terms()
+    for elem, (lpos, lmono) in zip(gb.elements, leads):
+        assert elem.components[lpos].terms_dict[lmono] == 1
+        for pos, p in enumerate(elem.components):
+            for mono in p.terms_dict:
+                if (pos, mono) == (lpos, lmono):
+                    continue
+                assert not any(q == pos and all(a <= b for a, b in zip(m, mono))
+                               for q, m in leads)
+    # a zero entry of a row has its unit vector as a syzygy
+    F = PolyMatrix(R3, [[cols[0][0], zero, cols[2][1]]])
+    S = syzygy_matrix(F)
+    assert (F * S).is_zero()
+    assert [zero, Polynomial.one(R3), zero] in S.columns()
 
 
 def test_module_quotient_lift_round_trip():
