@@ -204,24 +204,16 @@ def _vector_coords(gbI, ring, column, index, ncols):
 def _graded_kernel(F0, amb_degrees, cond, cond_degrees):
     """Kernel of the reduction of `cond`^T on the given graded slots.
 
-    Returns (labels, ScalarMatrix of kernel columns in those coordinates).
-    The conditions are the columns of `cond` paired against the ambient
-    vector, each condition c landing in the degree cond_degrees[c] piece of
-    S/I.
+    Returns (labels, index, ScalarMatrix of kernel columns in those
+    coordinates), with labels and index as from `_std_space`.  The
+    conditions are the columns of `cond` paired against the ambient vector,
+    each condition c landing in the degree cond_degrees[c] piece of S/I,
+    whose coordinates are the `_std_space` labels of cond_degrees.
     """
     ring = F0.ring
     gbI = ideal_basis(F0)
     labels, index = _std_space(gbI, ring, amb_degrees)
-    row_labels = []
-    row_index = {}
-    for c, dc in enumerate(cond_degrees):
-        if any(x < 0 for x in dc):
-            continue
-        monos = (standard_monomials(gbI, dc) if gbI is not None
-                 else monomials_of_degree(ring, dc))
-        for mono in monos:
-            row_index[(c, mono)] = len(row_labels)
-            row_labels.append((c, mono))
+    row_labels, row_index = _std_space(gbI, ring, cond_degrees)
     rows = [{} for _ in row_labels]
     for j, (pos, mono) in enumerate(labels):
         mu = Polynomial.from_monomial(ring, mono)
@@ -237,7 +229,7 @@ def _graded_kernel(F0, amb_degrees, cond, cond_degrees):
                                        "is not homogeneous for the given grading")
                 row = rows[ri]
                 row[j] = row.get(j, 0) + coeff
-    return labels, kernel_basis(SparseMatrix(len(labels), rows))
+    return labels, index, kernel_basis(SparseMatrix(len(labels), rows))
 
 
 def _coords_to_columns(ring, amb, labels, matrix, selection=None):
@@ -282,7 +274,7 @@ def normal_matrix(F0, degree):
     if R0.cols and R0.col_degrees is None:
         raise GradingError("syzygies are not homogeneous")
     cond_degrees = [_shift(d, e) for e in (R0.col_degrees or ())]
-    labels, ker = _graded_kernel(F0, amb_degrees, R0, cond_degrees)
+    labels, _, ker = _graded_kernel(F0, amb_degrees, R0, cond_degrees)
     cols = _coords_to_columns(ring, F0.cols, labels, ker)
     vectors = PolyMatrix.from_columns(
         ring, F0.cols, cols,
@@ -309,8 +301,7 @@ def cotangent1(F0, degree=None):
     R0 = first_syzygies(F0)
     amb_degrees = [_shift(d, e) for e in F0.col_degrees]
     cond_degrees = [_shift(d, e) for e in (R0.col_degrees or ())]
-    labels, ker = _graded_kernel(F0, amb_degrees, R0, cond_degrees)
-    _, index = _std_space(gbI, ring, amb_degrees)
+    labels, index, ker = _graded_kernel(F0, amb_degrees, R0, cond_degrees)
     jac = jacobian_matrix(F0)
     trivial = []
     for i in range(ring.nx):
@@ -355,8 +346,7 @@ def cotangent2(F0, degree=None):
         raise GradingError("relation degrees are unavailable")
     amb_degrees = [_shift(d, e) for e in R0.col_degrees]
     cond_degrees = [_shift(d, e) for e in cond_shifts]
-    labels, ker = _graded_kernel(F0, amb_degrees, cond, cond_degrees)
-    _, index = _std_space(gbI, ring, amb_degrees)
+    labels, index, ker = _graded_kernel(F0, amb_degrees, cond, cond_degrees)
     trivial = []
     for i in range(F0.cols):
         for mono in monomials_of_degree(ring, _shift(d, F0.col_degrees[i])):

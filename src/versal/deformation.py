@@ -13,7 +13,12 @@ the lifting closes.  The vanishing of the entries of G cuts the base space
 of the family out of the parameter space.  All arithmetic is exact over QQ.
 
 Each step reduces its error term, the part of the identity of the order
-it completes, once against a parameter-free module basis, with cofactors.
+it completes, once against a module basis whose generators involve no
+parameter, with cofactors.  That basis is computed over the parameter
+ring, and the reduction runs through its own Gröbner engine
+(`groebner._Engine.reduce_full`), the loop every other module reduction
+uses; `_XBasis` only converts between `Fraction` term dicts and the
+engine's integer vectors.
 The normal form is absorbed into new G and C contributions (phase A); the
 correction these make to the residual is reduced on its own when it is not
 empty, and since reduction is linear the two results add up to those of
@@ -31,14 +36,13 @@ them is the next step's error term, so every part is formed exactly once.
 """
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 
 from .cotangent import (as_generator_matrix, cotangent1, cotangent2,
                         first_syzygies, normal_matrix)
 from .errors import LiftError, ObstructionError, VersalError
 from .exactla import SparseMatrix, rref_with_transform
-from .groebner import (FreeModuleElement, PolyMatrix, _ideal_unit_columns,
-                       buchberger, module_quotient_lift)
+from .groebner import (PolyMatrix, _ideal_unit_columns, _TermQueue,
+                       _terms_to_ivec, buchberger, module_quotient_lift)
 from .polyring import (Polynomial, RingSpec, add_into, extend_with_parameters,
                        mono_div, mono_divides, mono_mul, mul_into)
 
@@ -51,123 +55,32 @@ MSG_POLYNOMIAL = "Solution is polynomial"
 _ZERO = Fraction(0)
 
 
-class _TermQueue:
-    """A term-dict column ``{(pos, mono): coeff}`` taken largest term first.
-
-    Terms sit in a heap under the ring's descending keys, position breaking
-    ties, so the heap's least entry is the largest term.  A key is computed
-    once per push, not once per comparison as max() over a dict would.  A term
-    whose coefficient cancels stays in the heap and is skipped when it
-    surfaces.  This lazy deletion is sound because callers only add terms
-    below the one they last took, so a taken term never comes back.
-    """
-
-    __slots__ = ("coeffs", "heap", "desc")
-
-    def __init__(self, ring, col):
-        self.desc = desc = ring.descending_key
-        self.coeffs = {t: c for t, c in col.items() if c}
-        self.heap = [(desc(mono), pos, mono) for pos, mono in self.coeffs]
-        heapify(self.heap)
-
-    def pop(self):
-        """Remove the largest term; returns (term, coeff), or None if empty."""
-        heap, coeffs = self.heap, self.coeffs
-        while heap:
-            _, pos, mono = heappop(heap)
-            coeff = coeffs.pop((pos, mono), None)
-            if coeff is not None:
-                return (pos, mono), coeff
-        return None
-
-    def add(self, term, c):
-        """Add c to the coefficient of a term below the last one taken."""
-        coeffs = self.coeffs
-        v = coeffs.get(term)
-        if v is None:
-            if c:
-                coeffs[term] = c
-                heappush(self.heap, (self.desc(term[1]), term[0], term[1]))
-            return
-        v += c
-        if v:
-            coeffs[term] = v
-        else:
-            del coeffs[term]
-
-
 class _XBasis:
-    """A parameter-free module basis prepared for reducing series columns.
+    """The lift's view of the reduction basis gb0, through gb0's own engine.
 
-    The elements come from a tracked basis over the x-only ring; their
-    leading terms involve no parameters, so dividing a mixed term just
-    transfers its parameter part to the cofactor.  Reducing a column whose
-    terms all have parameter order k therefore stays within order k and
-    terminates.
+    gb0 is a tracked basis over the parameter ring whose inputs involve no
+    parameter, so its leading terms involve none either: dividing a mixed
+    term just transfers its parameter part to the cofactor, and reducing a
+    column whose terms all have parameter order k stays within order k and
+    terminates.  This class only converts formats: it clears the
+    denominators of a `Fraction` column, reduces it with
+    `_Engine.nf_with_input_cofactors`, and divides the results back.
     """
 
-    __slots__ = ("ring", "leads", "vecs", "exprs", "by_pos")
+    __slots__ = ("engine",)
 
-    def __init__(self, gb, ring):
-        self.ring = ring
-        pad = (0,) * (ring.nvars - gb.ring.nvars)
-        self.leads = []
-        self.vecs = []
-        self.exprs = []
-        self.by_pos = {}
-        for idx, (el, lt, expr) in enumerate(
-                zip(gb.elements, gb.leading_terms(), gb.expressions())):
-            pos, mono = lt
-            vec = {}
-            for p, comp in enumerate(el.components):
-                for m, c in comp.terms_dict.items():
-                    vec[(p, m + pad)] = c
-            self.leads.append((pos, mono + pad))
-            self.vecs.append(vec)
-            self.exprs.append({
-                i: {m + pad: c for m, c in poly.terms_dict.items()}
-                for i, poly in expr.items()
-            })
-            self.by_pos.setdefault(pos, []).append(idx)
+    def __init__(self, gb):
+        self.engine = gb._engine
 
-    def reduce(self, col, track=False):
-        """Normal form of a term-dict column ``{(pos, mono): coeff}``.
-
-        With track=True also returns cofactors over the original generators
-        of the underlying basis, as ``{gen_index: fraction_dict}`` with
-        col == nf + sum(cof * gen).
-        """
-        work = _TermQueue(self.ring, col)
-        add = work.add
-        nf = {}
-        el_cofs = {} if track else None
-        while (top := work.pop()) is not None:
-            term, coeff = top
-            pos, mono = term
-            hit = -1
-            for idx in self.by_pos.get(pos, ()):
-                if mono_divides(self.leads[idx][1], mono):
-                    hit = idx
-                    break
-            if hit < 0:
-                nf[term] = coeff
-                continue
-            delta = mono_div(mono, self.leads[hit][1])
-            for (p2, m2), c2 in self.vecs[hit].items():
-                t2 = (p2, mono_mul(m2, delta))
-                if t2 != term:  # the leading term cancels exactly
-                    add(t2, -coeff * c2)
-            if track:
-                d = el_cofs.setdefault(hit, {})
-                d[delta] = d.get(delta, _ZERO) + coeff
-        if not track:
-            return nf, None
-        input_cofs = {}
-        for idx, mult in el_cofs.items():
-            for i, expr in self.exprs[idx].items():
-                acc = input_cofs.setdefault(i, {})
-                mul_into(acc, mult, expr)
-        return nf, {i: fd for i, fd in input_cofs.items() if fd}
+    def reduce(self, col):
+        """Normal form of a term-dict column ``{(pos, mono): coeff}``, and
+        its cofactors over the original generators of the basis, as
+        ``{gen_index: fraction_dict}`` with col == nf + sum(cof * gen)."""
+        vec, den = _terms_to_ivec(col)
+        h, cofs, scale = self.engine.nf_with_input_cofactors(vec)
+        q = scale * den
+        return ({t: Fraction(c, q) for t, c in h.items()},
+                {i: {m: c / q for m, c in fd.items()} for i, fd in cofs.items()})
 
 
 class _LiftState:
@@ -216,52 +129,53 @@ def _require_order(mat, k, what):
                         % (what, k))
 
 
-def _reduction_setup(F0m, R0):
+def _reduction_setup(F0m, R0, St):
     """Tracked bases splitting residual columns into relation and ideal parts.
 
-    Returns (gb0, ideal_exprs, n_ideal): gb0 is a tracked basis of the module
-    spanned by the columns of transpose(R0) together with ideal multiples of
-    the unit vectors; its generators are ordered so that the first R0.cols...
-    first m = R0 columns come first, then for each position the ideal basis
-    polynomials.  ideal_exprs writes each ideal basis polynomial in the
-    original generator columns of F0.
+    Returns (gb0, ideal_exprs, n_ideal), all over the parameter ring St:
+    gb0 is a tracked basis of the module spanned by the columns of
+    transpose(R0) together with ideal multiples of the unit vectors; its
+    generators are ordered so that the R0.cols columns of transpose(R0)
+    come first, then for each position the ideal basis polynomials.
+    ideal_exprs writes each ideal basis polynomial in the original
+    generator columns of F0, as one term dict per generator.  No input
+    involves a parameter, so both bases are the parameter-free ones with
+    padded monomials.
     """
-    base = F0m.ring
-    gens = list(F0m.entries[0])
+    gens = [p.map_ring(St) for p in F0m.entries[0]]
     nz = [(j, p) for j, p in enumerate(gens) if not p.is_zero()]
     gbI = buchberger([p for _, p in nz], track=True)
-    ideal_exprs = []
-    for cofs in gbI.expressions():
-        ideal_exprs.append({nz[i][0]: poly for i, poly in cofs.items()})
+    ideal_exprs = [{nz[i][0]: poly.terms_dict for i, poly in cofs.items()}
+                   for cofs in gbI.expressions()]
     hpolys = gbI.polynomials()
     l = R0.cols
-    cols = PolyMatrix(base, R0.entries).transpose().columns()
-    cols += _ideal_unit_columns(base, hpolys, l)
-    block = PolyMatrix.from_columns(base, l, cols)
-    gb0 = buchberger(block, track=True)
+    cols = R0.promote(St).transpose().columns()
+    cols += _ideal_unit_columns(St, hpolys, l)
+    gb0 = buchberger(PolyMatrix.from_columns(St, l, cols), track=True)
     return gb0, ideal_exprs, len(hpolys)
 
 
-def _echelon_obstructions(t2basis, gb0, St):
+def _echelon_obstructions(V, gb0):
     """Echelonize the obstruction vectors modulo relations and the ideal.
 
+    V holds the obstruction vectors as columns, over the ring of gb0.
     Returns (lookup, rows, T): lookup maps a leading (position, monomial)
-    pair -- promoted to the parameter ring -- to an echelon row index; rows
-    holds the echelon vectors as term lists with leading coefficient 1; row j
-    of T expresses echelon vector j in the original obstruction vectors.
+    pair to an echelon row index; rows holds the echelon vectors as term
+    lists with leading coefficient 1; row j of T expresses echelon vector j
+    in the original obstruction vectors.
     """
-    base = gb0.ring
-    d = t2basis.dimension
+    ring = gb0.ring
+    d = V.cols
     reduced = []
     support = set()
     for k in range(d):
-        red = gb0.normal_form(FreeModuleElement(base, t2basis.vectors.column(k)))
+        red = gb0.normal_form(V.column_element(k))
         reduced.append(red)
         for pos, comp in enumerate(red.components):
             for m in comp.terms_dict:
                 support.add((pos, m))
     labels = sorted(support,
-                    key=lambda t: (base.monomial_key(t[1]), -t[0]),
+                    key=lambda t: (ring.monomial_key(t[1]), -t[0]),
                     reverse=True)
     col_of = {lab: c for c, lab in enumerate(labels)}
     vectors = [{col_of[(pos, m)]: c
@@ -271,20 +185,13 @@ def _echelon_obstructions(t2basis, gb0, St):
     R, pivots, T = rref_with_transform(SparseMatrix(len(labels), vectors))
     if len(pivots) != d:
         raise LiftError("obstruction vectors are dependent modulo relations")
-    pad = (0,) * (St.nvars - base.nvars)
     lookup = {}
     rows = []
     trows = []
     for j, pc in enumerate(pivots):
-        pos, mono = labels[pc]
-        lookup[(pos, mono + pad)] = j
-        row = []
-        for c in range(len(labels)):
-            v = R[j, c]
-            if v:
-                p2, m2 = labels[c]
-                row.append(((p2, m2 + pad), v))
-        rows.append(row)
+        lookup[labels[pc]] = j
+        rows.append([(labels[c], R[j, c])
+                     for c in range(len(labels)) if R[j, c]])
         trows.append([T[j, k] for k in range(d)])
     return lookup, rows, trows
 
@@ -366,7 +273,8 @@ def _phase_a(state, nf, target):
     g_new = {}
     c_new = {}
     b_sub = {}
-    work = _TermQueue(ring, nf)
+    # largest term first, in the term order of the reduction basis
+    work = _TermQueue(state.xbasis.engine.desc_key, nf)
     add = work.add
     while (top := work.pop()) is not None:
         term, coeff = top
@@ -434,7 +342,7 @@ def _lift_step(state):
 
     part = state.next_error
     ed = {(i, mo): c for i, row in enumerate(part) for mo, c in row.items()}
-    nf, cofs = state.xbasis.reduce(ed, track=True)
+    nf, cofs = state.xbasis.reduce(ed)
     g_new, c_new, b_sub = _phase_a(state, nf, target)
 
     # The exact residual error + V*g - b_sub lies in the module spanned by
@@ -453,7 +361,7 @@ def _lift_step(state):
     corr = {(i, mo): c for i, row in enumerate(vg) for mo, c in row.items()}
     add_into(corr, b_sub, -1)
     if corr:
-        nf2, cofs2 = state.xbasis.reduce(corr, track=True)
+        nf2, cofs2 = state.xbasis.reduce(corr)
         add_into(nf, nf2)
         for idx, fd in cofs2.items():
             add_into(cofs.setdefault(idx, {}), fd)
@@ -685,18 +593,11 @@ def versal_deformation(F0, t1=None, t2=None, degree=None, max_order=20,
     state.C = {0: state.V}
     state.order = 1
     if l:
-        gb0, ideal_exprs, ng = _reduction_setup(F0m, R0)
-        pad = (0,) * (St.nvars - base.nvars)
-        state.xbasis = _XBasis(gb0, St)
-        state.ideal_exprs = [
-            {j: {mo + pad: c for mo, c in poly.terms_dict.items()}
-             for j, poly in expr.items()}
-            for expr in ideal_exprs
-        ]
-        state.n_ideal = ng
+        gb0, state.ideal_exprs, state.n_ideal = _reduction_setup(F0m, R0, St)
+        state.xbasis = _XBasis(gb0)
         if d:
             state.vhat_lookup, state.vhat_rows, state.vhat_T = \
-                _echelon_obstructions(t2, gb0, St)
+                _echelon_obstructions(state.V, gb0)
 
     _require_order(F1, 1, "F")
     _require_order(R1, 1, "R")

@@ -4,14 +4,15 @@ The engine works on integer-scaled sparse vectors ("ivecs": dicts mapping
 (position, monomial) to int) under a term-over-position order extending the
 ring's monomial order.  Every input column enters through one path
 (`_Engine.add_column`, which clears denominators and records the column's
-unit expression), and every reduction -- of S-pairs, of tails during
-interreduction, of normal forms -- runs through one fraction-free loop
-(`_Engine.reduce_full`) with an explicit scale factor.  The engine has four
-options: `track` carries each element's expression in the inputs, which
-powers normal forms with cofactors and matrix quotient lifts;
-`record_syzygies` also records the syzygies of the inputs; `rep_window`
-keeps only the first inputs in those expressions; `eliminate` sets up an
-elimination order.
+unit expression), and every module reduction -- of S-pairs, of tails during
+interreduction, of normal forms, and of the lift's series columns in
+`deformation` -- runs through one fraction-free loop (`_Engine.reduce_full`)
+with an explicit scale factor, which takes its next term from a heap-ordered
+`_TermQueue`.  The engine has four options: `track` carries each element's
+expression in the inputs, which powers normal forms with cofactors and
+matrix quotient lifts; `record_syzygies` also records the syzygies of the
+inputs; `rep_window` keeps only the first inputs in those expressions;
+`eliminate` sets up an elimination order.
 
 Module pairs are only formed between elements with the same leading position.
 The product criterion is applied only to pairs of elements concentrated in a
@@ -28,8 +29,8 @@ recorded there, so the chain criterion stays on.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import FiniteDimError, GradingError, LiftError, VersalError
@@ -311,6 +312,52 @@ def _fp_scale(fp, q):
     return {m: c * q for m, c in fp.items()}
 
 
+class _TermQueue:
+    """A term dict ``{(pos, mono): coeff}`` taken largest term first.
+
+    Terms sit in a heap under a descending term key (the least key belongs
+    to the largest term), computed once per push rather than once per
+    comparison as max() over a dict would.  `coeffs` holds the live
+    coefficients; callers may scale them in place.  A term whose
+    coefficient cancels stays in the heap and is skipped when it surfaces.
+    This lazy deletion is sound because callers only add terms below the
+    one they last took, so a taken term never comes back.
+    """
+
+    __slots__ = ("coeffs", "heap", "key")
+
+    def __init__(self, key, col):
+        self.key = key
+        self.coeffs = {t: c for t, c in col.items() if c}
+        self.heap = [(key(t), t) for t in self.coeffs]
+        heapify(self.heap)
+
+    def pop(self):
+        """Remove the largest term; returns (term, coeff), or None if empty."""
+        heap, coeffs = self.heap, self.coeffs
+        while heap:
+            term = heappop(heap)[1]
+            coeff = coeffs.pop(term, None)
+            if coeff is not None:
+                return term, coeff
+        return None
+
+    def add(self, term, c):
+        """Add c to the coefficient of a term below the last one taken."""
+        coeffs = self.coeffs
+        v = coeffs.get(term)
+        if v is None:
+            if c:
+                coeffs[term] = c
+                heappush(self.heap, (self.key(term), term))
+            return
+        v += c
+        if v:
+            coeffs[term] = v
+        else:
+            del coeffs[term]
+
+
 class _Element:
     __slots__ = ("vec", "lt", "lc", "conc", "rep")
 
@@ -326,8 +373,10 @@ class _Engine:
     """Buchberger completion over ivecs with optional bookkeeping.
 
     Every input column enters through `add_column`, and every reduction
-    (S-pairs, interreduction, normal forms) goes through `reduce_full`.
-    Options:
+    (S-pairs, interreduction, normal forms, and the lift's reductions
+    through `deformation._XBasis`) goes through `reduce_full`: one
+    fraction-free loop that takes terms largest first from a `_TermQueue`
+    under `desc_key`, the descending form of `key`.  Options:
 
     * track: keep each element's expression (`rep`) in the inputs;
     * record_syzygies: also record syzygies of the inputs; implies track and
@@ -351,17 +400,25 @@ class _Engine:
         self.syzygies = []
         self.n_inputs = 0
         mk = ring.monomial_key
+        desc = ring.descending_key
 
         if eliminate is None:
             def key(term):
                 return (mk(term[1]), -term[0])
+
+            def desc_key(term):
+                return (desc(term[1]), term[0])
         else:
             # positions < eliminate rank above all others; term-over-position
             # inside each block
             def key(term):
                 return (term[0] < eliminate, mk(term[1]), -term[0])
 
+            def desc_key(term):
+                return (term[0] >= eliminate, desc(term[1]), term[0])
+
         self.key = key
+        self.desc_key = desc_key
 
     # -- element bookkeeping -------------------------------------------
 
@@ -428,7 +485,7 @@ class _Engine:
             return
         lcm_mono = mono_lcm(mi, mj)
         sortkey = (sum(lcm_mono), self.key((pos, lcm_mono)), i, j)
-        heapq.heappush(self.heap, (sortkey, i, j))
+        heappush(self.heap, (sortkey, i, j))
 
     def _record_koszul(self, i, j):
         # for concentrated g_i = h_i e_p, g_j = h_j e_p the S-pair syzygy is
@@ -471,15 +528,15 @@ class _Engine:
     def reduce_full(self, vec, track=False):
         """Full normal form.  Returns (h, cofs, scale) with
         scale * vec = h + sum(cofs[k] * basis[k]); all integer."""
-        work = dict(vec)
+        queue = _TermQueue(self.desc_key, vec)
+        work = queue.coeffs
+        add = queue.add
         result = {}
         cofs = {} if track else None
         scale = 1
-        key = self.key
         steps = 0
-        while work:
-            t = max(work, key=key)
-            c = work.pop(t)
+        while (top := queue.pop()) is not None:
+            t, c = top
             red = self.find_reducer(t)
             if red is None:
                 result[t] = c
@@ -499,14 +556,8 @@ class _Engine:
                 scale *= a
             glt = g.lt
             for (p2, m2), c2 in g.vec.items():
-                if (p2, m2) == glt:
-                    continue
-                nt = (p2, mono_mul(m2, delta))
-                s = work.get(nt, 0) - c * c2
-                if s:
-                    work[nt] = s
-                else:
-                    work.pop(nt, None)
+                if (p2, m2) != glt:
+                    add((p2, mono_mul(m2, delta)), -c * c2)
             if track:
                 d = cofs.setdefault(red, {})
                 s = d.get(delta, 0) + c
@@ -588,7 +639,7 @@ class _Engine:
 
     def complete(self):
         while self.heap:
-            _, i, j = heapq.heappop(self.heap)
+            _, i, j = heappop(self.heap)
             pair = (min(i, j), max(i, j))
             if pair in self.done:
                 continue
@@ -622,19 +673,21 @@ class _Engine:
 # ---------------------------------------------------------------------------
 
 
+def _terms_to_ivec(terms):
+    """{(pos, mono): Fraction} -> (ivec, multiplier) with
+    ivec = multiplier * terms."""
+    den = 1
+    for c in terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    vec = {t: c.numerator * (den // c.denominator)
+           for t, c in terms.items() if c}
+    return vec, den
+
+
 def _column_to_ivec(column):
     """list[Polynomial] -> (ivec, multiplier) with ivec = multiplier * column."""
-    den = 1
-    for p in column:
-        for c in p.terms_dict.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-    vec = {}
-    for pos, p in enumerate(column):
-        for mono, c in p.terms_dict.items():
-            v = int(c * den)
-            if v:
-                vec[(pos, mono)] = v
-    return vec, den
+    return _terms_to_ivec({(pos, mono): c for pos, p in enumerate(column)
+                           for mono, c in p.terms_dict.items()})
 
 
 def _ivec_to_polys(vec, ring, rank, scale=1):

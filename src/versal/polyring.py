@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add, le, sub
 
 from .errors import GradingError, ParseError, RingMismatchError
 
@@ -167,21 +168,21 @@ class RingSpec:
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
     """Does monomial a divide monomial b?"""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
     """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 _ZERO = Fraction(0)
@@ -370,7 +371,7 @@ class Polynomial:
         terms = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = mono_mul(m1, m2)
                 s = terms.get(m, 0) + c1 * c2
                 if s:
                     terms[m] = s

@@ -155,16 +155,31 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("args, digest", [
-    (["demos/data/quartic_cone.vdef"],
+    (["deform", "demos/data/quartic_cone.vdef"],
      "2bde3f6ccd5fc6045547cd9eb612bb100eff1d3a842057ac46f94437b4950340"),
-    (["demos/data/diagonal_p2cubed.vdef", "--degree", "0,0,0"],
+    (["deform", "demos/data/diagonal_p2cubed.vdef", "--degree", "0,0,0"],
      "e92c905ff534c891e1dfd39d196730c7ad3e9ae0840ffc59ef36b30de10390bb"),
-    (["perfbench/nonclosing.vdef", "--degree", "0", "--max-order", "10"],
+    (["deform", "perfbench/nonclosing.vdef", "--degree", "0",
+      "--max-order", "10"],
      "0feda5462bf0a7cd9beb61390b5434d52bfb154a48f37337c225451f523b148b"),
-], ids=["cone", "diagonal", "nonclosing"])
+    (["t1", "demos/data/quartic_cone.vdef"],
+     "eef2502085f239320b318e794411a8a201014c9a92012bc72e0cf4908a74b7f5"),
+    (["t2", "demos/data/quartic_cone.vdef"],
+     "983476f1ab18aaff907ce4f1f5867f5ffd806ca87d53cb74469241fcf3247202"),
+    (["t1", "demos/data/diagonal_p2cubed.vdef", "--degree", "0,0,0"],
+     "dc5fa1a0c7704a0d2a5c5a8dd490ee082d9010fee0abb56253678218522038b6"),
+    (["t2", "demos/data/diagonal_p2cubed.vdef", "--degree", "0,0,0"],
+     "711a0c52ab2151809c222899cf963c24a739b4b1f049c644362b4b52c5e2e95d"),
+    (["gb", "demos/data/diagonal_p2cubed.vdef"],
+     "9a60ebe9b3fbbfff3f6b8fda49646dd6491a643d07d399a3a8b1b99d3e4a3f9b"),
+], ids=["cone", "diagonal", "nonclosing", "t1-cone", "t2-cone",
+        "t1-diagonal", "t2-diagonal", "gb-diagonal"])
 def test_deform_json_golden_digest(args, digest, capsys):
-    # a faster route to the same answer must not change one byte of it
-    assert main(["deform", str(ROOT / args[0]), *args[1:], "--json"]) == 0
+    # a faster route to the same answer must not change one byte of it; the
+    # deform digests are the end-to-end ones, and the t1, t2 and gb digests
+    # pin the Gröbner engine under them on their own
+    command, path, *rest = args
+    assert main([command, str(ROOT / path), *rest, "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

@@ -30,7 +30,7 @@ from versal import (
     parse_expr,
     versal_deformation,
 )
-from versal import deformation
+from versal import deformation, groebner
 from versal.deformation import (
     MSG_FIRST_ORDER,
     MSG_LIFTING,
@@ -283,12 +283,11 @@ def corrupt_first_cofactor(monkeypatch, change):
     real = deformation._XBasis.reduce
     used = []
 
-    def corrupted(self, col, track=False):
-        nf, cofs = real(self, col, track=track)
-        if track:
-            used.append(0 in cofs)
-            if 0 in cofs:
-                cofs[0] = change(cofs[0])
+    def corrupted(self, col):
+        nf, cofs = real(self, col)
+        used.append(0 in cofs)
+        if 0 in cofs:
+            cofs[0] = change(cofs[0])
         return nf, cofs
 
     monkeypatch.setattr(deformation._XBasis, "reduce", corrupted)
@@ -337,10 +336,18 @@ def test_each_order_part_is_computed_once(monkeypatch):
 
 # -- the heap-ordered reduction against a plain one -------------------------
 
-def plain_reduce(xb, col):
-    """Reference for _XBasis.reduce: the same reducers, with the next term
-    picked by max() over the whole work dict."""
-    key = lambda t: (xb.ring.monomial_key(t[1]), -t[0])
+def plain_reduce(gb, col, key=None):
+    """Reference for the lift's reduction: the monic elements of the
+    tracked basis gb, the first one in basis order whose lead divides the
+    term, with the next term picked by max() over the whole work dict under
+    `key` (term-over-position by default)."""
+    if key is None:
+        key = lambda t: (gb.ring.monomial_key(t[1]), -t[0])
+    leads = gb.leading_terms()
+    vecs = [{(p, m): c for p, comp in enumerate(el.components)
+             for m, c in comp.terms_dict.items()} for el in gb.elements]
+    exprs = [{i: poly.terms_dict for i, poly in expr.items()}
+             for expr in gb.expressions()]
     work = {t: c for t, c in col.items() if c}
     nf = {}
     el_cofs = {}
@@ -348,13 +355,13 @@ def plain_reduce(xb, col):
         term = max(work, key=key)
         coeff = work.pop(term)
         pos, mono = term
-        hit = next((idx for idx in xb.by_pos.get(pos, ())
-                    if mono_divides(xb.leads[idx][1], mono)), None)
+        hit = next((idx for idx, lt in enumerate(leads)
+                    if lt[0] == pos and mono_divides(lt[1], mono)), None)
         if hit is None:
             nf[term] = coeff
             continue
-        delta = mono_div(mono, xb.leads[hit][1])
-        for (p2, m2), c2 in xb.vecs[hit].items():
+        delta = mono_div(mono, leads[hit][1])
+        for (p2, m2), c2 in vecs[hit].items():
             t2 = (p2, mono_mul(m2, delta))
             if t2 != term:
                 work[t2] = work.get(t2, 0) - coeff * c2
@@ -364,7 +371,7 @@ def plain_reduce(xb, col):
         d[delta] = d.get(delta, 0) + coeff
     cofs = {}
     for idx, mult in el_cofs.items():
-        for i, expr in xb.exprs[idx].items():
+        for i, expr in exprs[idx].items():
             acc = cofs.setdefault(i, {})
             for m1, c1 in mult.items():
                 for m2, c2 in expr.items():
@@ -385,22 +392,24 @@ def added(a, b):
 
 
 def xbasis_of(gens):
-    """The reduction basis a lift of `gens` uses, over two parameters."""
+    """The reduction basis a lift of `gens` uses, over two parameters, as
+    (_XBasis, gb0, number of relations)."""
     F0m = as_generator_matrix(gens)
     R0 = first_syzygies(F0m)
-    gb0, _, _ = deformation._reduction_setup(F0m, R0)
     St, _ = extend_with_parameters(RingSpec(F0m.ring.x_vars, ()), 2)
-    return deformation._XBasis(gb0, St), R0.cols
+    gb0, _, _ = deformation._reduction_setup(F0m, R0, St)
+    return deformation._XBasis(gb0), gb0, R0.cols
 
 
-def random_column(rng, xb, l, size):
+def random_column(rng, gb, l, size):
     """Terms (pos, x-monomial * t-monomial of order 1 to 3); half of them
     are multiples of a leading term, so that reductions happen."""
-    nx, nt = xb.ring.nx, xb.ring.nt
+    nx, nt = gb.ring.nx, gb.ring.nt
+    leads = gb.leading_terms()
     col = {}
     for _ in range(size):
         if rng.random() < 0.5:
-            pos, lead = rng.choice(xb.leads)
+            pos, lead = rng.choice(leads)
             x = mono_mul(lead[:nx], tuple(rng.randint(0, 1) for _ in range(nx)))
         else:
             pos = rng.randrange(l)
@@ -421,32 +430,69 @@ def xbasis(request):
 
 
 def test_heap_reduction_matches_plain_max_loop(xbasis):
-    xb, l = xbasis
+    xb, gb0, l = xbasis
     rng = random.Random(6061)
     for _ in range(12):
-        col = random_column(rng, xb, l, rng.randint(1, 12))
-        nf, cofs = xb.reduce(col, track=True)
-        assert (nf, cofs) == plain_reduce(xb, col)
-        assert xb.reduce(col)[0] == nf
+        col = random_column(rng, gb0, l, rng.randint(1, 12))
+        assert xb.reduce(col) == plain_reduce(gb0, col)
 
 
 def test_reduction_is_linear(xbasis):
     # the lift reduces the error and its correction apart and adds the
     # results; that equals reducing their sum only if reduce is linear
-    xb, l = xbasis
+    xb, gb0, l = xbasis
     rng = random.Random(6062)
     for _ in range(12):
-        a = random_column(rng, xb, l, rng.randint(1, 10))
-        b = random_column(rng, xb, l, rng.randint(1, 10))
+        a = random_column(rng, gb0, l, rng.randint(1, 10))
+        b = random_column(rng, gb0, l, rng.randint(1, 10))
         for t in rng.sample(sorted(a), len(a) // 2):
             b[t] = -a[t]  # cancel some terms of a exactly
-        nf_a, cofs_a = xb.reduce(a, track=True)
-        nf_b, cofs_b = xb.reduce(b, track=True)
-        nf, cofs = xb.reduce(added(a, b), track=True)
+        nf_a, cofs_a = xb.reduce(a)
+        nf_b, cofs_b = xb.reduce(b)
+        nf, cofs = xb.reduce(added(a, b))
         assert nf == added(nf_a, nf_b)
         summed = {i: added(cofs_a.get(i, {}), cofs_b.get(i, {}))
                   for i in set(cofs_a) | set(cofs_b)}
         assert cofs == {i: fd for i, fd in summed.items() if fd}
+
+
+def test_scaled_reduction_matches_plain_max_loop():
+    # every workload's reduction basis has leading coefficients 1 as integer
+    # vectors; this one has 2 and 3, so the shared loop scales its queued
+    # coefficients, and its columns take over 64 steps, which reaches the
+    # periodic content division
+    ring, _ = extend_with_parameters(RingSpec(("x", "y", "z"), ()), 1)
+    gens = [[parse_expr(s, ring) for s in col]
+            for col in (["2*x^2 + x*y + z", "y"], ["0", "3*y^2 + z^2 + x*z"])]
+    mk = ring.monomial_key
+    orders = {None: lambda t: (mk(t[1]), -t[0]),
+              1: lambda t: (t[0] < 1, mk(t[1]), -t[0])}
+    rng = random.Random(6063)
+
+    def column(coeffs):
+        return {(rng.randrange(2), tuple(rng.randint(0, 5) for _ in range(4))):
+                rng.choice(coeffs) for _ in range(20)}
+
+    for eliminate, key in orders.items():
+        engine = groebner._Engine(ring, 2, track=True, eliminate=eliminate)
+        for col in gens:
+            engine.add_column(col)
+        engine.complete()
+        groebner._interreduce(engine)
+        assert sorted(el.lc for el in engine.basis) == [2, 3]
+        gb = groebner.GroebnerBasis(ring, 2, engine, len(gens), tracked=True)
+        for _ in range(3):
+            vec = column([-6, -3, 2, 4, 6, 9])
+            h, cofs, scale = engine.nf_with_input_cofactors(vec)
+            assert ({t: Fraction(c, scale) for t, c in h.items()},
+                    {i: {m: c / scale for m, c in fd.items()}
+                     for i, fd in cofs.items()}) == plain_reduce(gb, vec, key)
+        if eliminate is None:
+            xb = deformation._XBasis(gb)
+            for _ in range(3):
+                col = column([Fraction(a, b) for a in (-3, -1, 1, 2, 5)
+                              for b in (1, 2, 3)])
+                assert xb.reduce(col) == plain_reduce(gb, col)
 
 
 # -- multigraded Hilbert scheme germ ----------------------------------------
