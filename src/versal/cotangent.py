@@ -17,7 +17,6 @@ Both spaces come in two flavours:
   computed through an explicit subquotient presentation.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import FiniteDimError, GradingError, VersalError
@@ -187,7 +186,7 @@ def _nf(gbI, p):
 
 def _vector_coords(gbI, ring, column, index, ncols):
     """Coordinates of an S^amb column after reduction, or raise."""
-    v = [Fraction(0)] * ncols
+    v = [0] * ncols
     for pos, p in enumerate(column):
         if p.is_zero():
             continue

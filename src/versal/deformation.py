@@ -17,8 +17,8 @@ it completes, once against a module basis whose generators involve no
 parameter, with cofactors.  That basis is computed over the parameter
 ring, and the reduction runs through its own Gröbner engine
 (`groebner._Engine.reduce_full`), the loop every other module reduction
-uses; `_XBasis` only converts between `Fraction` term dicts and the
-engine's integer vectors.
+uses; `_XBasis` only converts between term dicts of exact rationals and
+the engine's integer vectors.
 The normal form is absorbed into new G and C contributions (phase A); the
 correction these make to the residual is reduced on its own when it is not
 empty, and since reduction is linear the two results add up to those of
@@ -35,8 +35,6 @@ from scratch up to the highest order any product reaches; the first of
 them is the next step's error term, so every part is formed exactly once.
 """
 
-from fractions import Fraction
-
 from .cotangent import (as_generator_matrix, cotangent1, cotangent2,
                         first_syzygies, normal_matrix)
 from .errors import LiftError, ObstructionError, VersalError
@@ -44,15 +42,13 @@ from .exactla import SparseMatrix, rref_with_transform
 from .groebner import (PolyMatrix, _ideal_unit_columns, _TermQueue,
                        _terms_to_ivec, buchberger, module_quotient_lift)
 from .polyring import (Polynomial, RingSpec, add_into, extend_with_parameters,
-                       mono_div, mono_divides, mono_mul, mul_into)
+                       mono_div, mono_divides, mono_mul, mul_into, ratio)
 
 MSG_FIRST_ORDER = "Calculating first order deformations and obstruction space"
 MSG_RELATIONS = "Calculating first order relations"
 MSG_LIFTING = "Starting lifting"
 MSG_ORDER = "Order %d"
 MSG_POLYNOMIAL = "Solution is polynomial"
-
-_ZERO = Fraction(0)
 
 
 class _XBasis:
@@ -63,8 +59,9 @@ class _XBasis:
     term just transfers its parameter part to the cofactor, and reducing a
     column whose terms all have parameter order k stays within order k and
     terminates.  This class only converts formats: it clears the
-    denominators of a `Fraction` column, reduces it with
-    `_Engine.nf_with_input_cofactors`, and divides the results back.
+    denominators of a column, reduces it with
+    `_Engine.nf_with_input_cofactors`, and divides the results back through
+    `ratio`, so integral coefficients stay `int`.
     """
 
     __slots__ = ("engine",)
@@ -75,12 +72,13 @@ class _XBasis:
     def reduce(self, col):
         """Normal form of a term-dict column ``{(pos, mono): coeff}``, and
         its cofactors over the original generators of the basis, as
-        ``{gen_index: fraction_dict}`` with col == nf + sum(cof * gen)."""
+        ``{gen_index: term_dict}`` with col == nf + sum(cof * gen)."""
         vec, den = _terms_to_ivec(col)
         h, cofs, scale = self.engine.nf_with_input_cofactors(vec)
         q = scale * den
-        return ({t: Fraction(c, q) for t, c in h.items()},
-                {i: {m: c / q for m, c in fd.items()} for i, fd in cofs.items()})
+        return ({t: ratio(c, q) for t, c in h.items()},
+                {i: {m: ratio(c, q) for m, c in fd.items()}
+                 for i, fd in cofs.items()})
 
 
 class _LiftState:
@@ -291,7 +289,7 @@ def _phase_a(state, nf, target):
             base = mono_mul(xm, mono_div(tm, ltm))
             for hm, hc in hfd.items():
                 t2 = (pos, mono_mul(base, hm))
-                v = b_sub.get(t2, _ZERO) + coeff * hc
+                v = b_sub.get(t2, 0) + coeff * hc
                 if v:
                     b_sub[t2] = v
                 else:
@@ -314,7 +312,7 @@ def _phase_a(state, nf, target):
         for k, tk in enumerate(state.vhat_T[j]):
             if tk:
                 acc = g_new.setdefault(k, {})
-                v = acc.get(tm, _ZERO) - coeff * tk
+                v = acc.get(tm, 0) - coeff * tk
                 if v:
                     acc[tm] = v
                 else:

@@ -43,6 +43,7 @@ from .polyring import (
     mono_lcm,
     mono_mul,
     mul_into,
+    ratio,
 )
 
 # ---------------------------------------------------------------------------
@@ -305,13 +306,6 @@ def _ivec_content(vec):
     return g or 1
 
 
-def _fp_scale(fp, q):
-    """Scale a {mono: Fraction} dict."""
-    if not q:
-        return {}
-    return {m: c * q for m, c in fp.items()}
-
-
 class _TermQueue:
     """A term dict ``{(pos, mono): coeff}`` taken largest term first.
 
@@ -438,8 +432,8 @@ class _Engine:
         if c != 1:
             vec = {t: v // c for t, v in vec.items()}
             if rep is not None:
-                rep = {i: _fp_scale(fp, Fraction(1, c)) for i, fp in rep.items()}
-                rep = {i: fp for i, fp in rep.items() if fp}
+                rep = {i: {m: ratio(v, c) for m, v in fp.items()}
+                       for i, fp in rep.items()}
         return vec, rep
 
     def add_column(self, col):
@@ -452,7 +446,7 @@ class _Engine:
         idx = self.n_inputs
         self.n_inputs += 1
         kept = self.rep_window is None or idx < self.rep_window
-        unit = {idx: {self.ring.zero_mono(): Fraction(den)}} if kept else {}
+        unit = {idx: {self.ring.zero_mono(): den}} if kept else {}
         if not vec:
             if self.record_syzygies and kept:
                 self.syzygies.append(unit)
@@ -631,7 +625,7 @@ class _Engine:
         out = {}
         if base:
             for idx, fp in base.items():
-                out[idx] = _fp_scale(fp, Fraction(scale))
+                out[idx] = {m: c * scale for m, c in fp.items()}
         for k, ipoly in cofs.items():
             for idx, fp in (self.basis[k].rep or {}).items():
                 mul_into(out.setdefault(idx, {}), ipoly, fp, sign)
@@ -674,8 +668,9 @@ class _Engine:
 
 
 def _terms_to_ivec(terms):
-    """{(pos, mono): Fraction} -> (ivec, multiplier) with
-    ivec = multiplier * terms."""
+    """{(pos, mono): coeff} -> (ivec, multiplier) with
+    ivec = multiplier * terms; the coefficients are exact rationals: `int`
+    when integral, else `Fraction`."""
     den = 1
     for c in terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
@@ -693,13 +688,14 @@ def _column_to_ivec(column):
 def _ivec_to_polys(vec, ring, rank, scale=1):
     comps = [dict() for _ in range(rank)]
     for (pos, mono), c in vec.items():
-        comps[pos][mono] = Fraction(c, scale)
+        comps[pos][mono] = ratio(c, scale)
     return [Polynomial(ring, d) for d in comps]
 
 
 def _cofactor_polys(ring, cofs, count, divisor):
     """Cofactors of inputs 0 .. count-1 as polynomials, divided by `divisor`."""
-    return [Polynomial(ring, {m: c / divisor for m, c in cofs.get(i, {}).items()})
+    return [Polynomial(ring, {m: ratio(c, divisor)
+                              for m, c in cofs.get(i, {}).items()})
             for i in range(count)]
 
 
@@ -774,7 +770,7 @@ class GroebnerBasis:
             cofs = {}
             for idx, fp in (el.rep or {}).items():
                 poly = Polynomial(self.ring,
-                                  {m: c / el.lc for m, c in fp.items()})
+                                  {m: ratio(c, el.lc) for m, c in fp.items()})
                 if not poly.is_zero():
                     cofs[idx] = poly
             out.append(cofs)
@@ -1121,7 +1117,7 @@ def _normalize_columns(ring, columns):
                 num = gcd(num, int(c * den))
         if num == 0:
             continue
-        scale = Fraction(den, num)
+        scale = ratio(den, num)
         scaled = [p * scale for p in col]
         # sign: positive leading coefficient of the largest term across the column
         key = ring.monomial_key
@@ -1165,16 +1161,18 @@ def _minimal_columns_graded(ring, columns, row_degs, col_degs):
             for mono in monomials_of_degree(ring, target):
                 label_index[(pos, mono)] = len(label_index)
 
-        def coords(col):
+        def coords(col, shift=None):
+            # coordinates of col, times the monomial `shift` if given; None
+            # when a term lies outside this degree
             v = {}
             for pos, p in enumerate(col):
                 for mono, c in p.terms_dict.items():
+                    if shift is not None:
+                        mono = mono_mul(shift, mono)
                     idx = label_index.get((pos, mono))
                     if idx is None:
-                        if c:
-                            return None
-                    elif c:
-                        v[idx] = c
+                        return None
+                    v[idx] = c
             return integer_row(v)
 
         echelon = {}
@@ -1183,8 +1181,7 @@ def _minimal_columns_graded(ring, columns, row_degs, col_degs):
             if any(c < 0 for c in diff):
                 continue
             for mono in monomials_of_degree(ring, diff):
-                mu = Polynomial.from_monomial(ring, mono)
-                v = coords([mu * p for p in columns[k_idx]])
+                v = coords(columns[k_idx], mono)
                 if v is not None:
                     echelon_insert(echelon, v)
         for i in by_degree[d]:

@@ -8,7 +8,9 @@ parameter-free representatives.  Orders of vanishing in the parameters
 ("t-order") are tracked exactly; they drive the power-series bookkeeping of
 the deformation module.
 
-Coefficients are `fractions.Fraction` throughout — everything is exact.
+Coefficients are exact rationals: `int` when integral, else `Fraction`.
+Every division of a coefficient goes through `ratio`, so none is ever a
+`float`.
 """
 
 from __future__ import annotations
@@ -185,16 +187,35 @@ def mono_lcm(a, b):
     return tuple(map(max, a, b))
 
 
-_ZERO = Fraction(0)
+def ratio(a, b):
+    """a / b as an exact rational: `int` when integral, else `Fraction`."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _exact(c):
+    """A coefficient as an exact rational (see `ratio`).  Floats are
+    refused: their binary value is seldom the one meant."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError("float coefficient %r; use an int or a Fraction" % (c,))
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def mul_into(acc, a, b, sign=1):
-    """acc += sign * a * b for fraction-coefficient monomial dicts."""
+    """acc += sign * a * b for monomial dicts whose coefficients are exact
+    rationals: `int` when integral, else `Fraction`."""
     for m1, c1 in a.items():
         c1 = sign * c1
         for m2, c2 in b.items():
             mm = mono_mul(m1, m2)
-            v = acc.get(mm, _ZERO) + c1 * c2
+            v = acc.get(mm, 0) + c1 * c2
             if v:
                 acc[mm] = v
             else:
@@ -202,9 +223,10 @@ def mul_into(acc, a, b, sign=1):
 
 
 def add_into(acc, b, sign=1):
-    """acc += sign * b for dicts of fraction coefficients."""
+    """acc += sign * b for dicts whose coefficients are exact rationals:
+    `int` when integral, else `Fraction`."""
     for t, c in b.items():
-        v = acc.get(t, _ZERO) + sign * c
+        v = acc.get(t, 0) + sign * c
         if v:
             acc[t] = v
         else:
@@ -212,7 +234,10 @@ def add_into(acc, b, sign=1):
 
 
 class Polynomial:
-    """Immutable sparse polynomial: dict of exponent tuple -> Fraction."""
+    """Immutable sparse polynomial: dict of exponent tuple -> coefficient.
+
+    Coefficients are exact rationals: `int` when integral, else `Fraction`.
+    """
 
     __slots__ = ("ring", "_terms", "_sorted")
 
@@ -220,8 +245,8 @@ class Polynomial:
         self.ring = ring
         clean = {}
         for mono, coeff in terms.items():
-            if not isinstance(coeff, Fraction):
-                coeff = Fraction(coeff)
+            if type(coeff) is not int:
+                coeff = _exact(coeff)
             if coeff:
                 clean[mono] = coeff
         self._terms = clean
@@ -235,21 +260,21 @@ class Polynomial:
 
     @classmethod
     def one(cls, ring):
-        return cls(ring, {ring.zero_mono(): Fraction(1)})
+        return cls(ring, {ring.zero_mono(): 1})
 
     @classmethod
     def constant(cls, ring, value):
-        return cls(ring, {ring.zero_mono(): Fraction(value)})
+        return cls(ring, {ring.zero_mono(): _exact(value)})
 
     @classmethod
     def variable(cls, ring, name):
         i = ring.index(name)
         mono = tuple(1 if j == i else 0 for j in range(ring.nvars))
-        return cls(ring, {mono: Fraction(1)})
+        return cls(ring, {mono: 1})
 
     @classmethod
     def from_monomial(cls, ring, mono, coeff=1):
-        return cls(ring, {tuple(mono): Fraction(coeff)})
+        return cls(ring, {tuple(mono): coeff})
 
     # -- inspection -----------------------------------------------------
 
@@ -283,10 +308,10 @@ class Polynomial:
         return self.sorted_terms()[0]
 
     def coefficient(self, mono):
-        return self._terms.get(tuple(mono), Fraction(0))
+        return self._terms.get(tuple(mono), 0)
 
     def constant_term(self):
-        return self._terms.get(self.ring.zero_mono(), Fraction(0))
+        return self._terms.get(self.ring.zero_mono(), 0)
 
     def total_degree(self):
         """Total degree in all variables; None for the zero polynomial."""
@@ -363,7 +388,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Polynomial.zero(self.ring)
-            q = Fraction(other)
+            q = _exact(other)
             return Polynomial(self.ring, {m: c * q for m, c in self._terms.items()})
         self._check(other)
         if len(self._terms) > len(other._terms):
@@ -435,11 +460,11 @@ class Polynomial:
     def substitute(self, values):
         """Evaluate some variables at rational values; returns a polynomial.
 
-        `values` maps variable names to Fractions/ints.  Unmentioned variables
-        survive.
+        `values` maps variable names to ints or Fractions.  Unmentioned
+        variables survive.
         """
         ring = self.ring
-        idx = {ring.index(n): Fraction(v) for n, v in values.items()}
+        idx = {ring.index(n): _exact(v) for n, v in values.items()}
         terms = {}
         for m, c in self._terms.items():
             coeff = c
@@ -642,7 +667,7 @@ class _Parser:
                 den = int(value3)
                 if den == 0:
                     raise ParseError("zero denominator", position=pos3)
-                return Polynomial.constant(self.ring, Fraction(num, den))
+                return Polynomial.constant(self.ring, ratio(num, den))
             return Polynomial.constant(self.ring, num)
         if kind == "name":
             if value not in self.ring._index:

@@ -334,6 +334,60 @@ def test_each_order_part_is_computed_once(monkeypatch):
     assert calls == Counter(range(8))
 
 
+# -- coefficients: int when integral, else Fraction, never float -------------
+
+def piece_coefficients(res):
+    for pieces in (res.F_pieces, res.R_pieces,
+                   res.G_pieces.values(), res.C_pieces.values()):
+        for mat in pieces:
+            for row in mat.entries:
+                for p in row:
+                    yield from p.terms_dict.values()
+
+
+def test_lift_of_fractional_germ_keeps_exact_coefficients():
+    # the non-closing ideal with generators scaled by 2 and 1/2: its error
+    # columns have denominators, and its tracked reductions scale by
+    # leading coefficients other than 1, so every division in the lift
+    # (_XBasis.reduce, the cofactors of the first-order relations) has a
+    # divisor other than 1
+    ring = nonclosing_generators()[0].ring
+    gens = [parse_expr(s, ring) for s in ["2*x^2", "1/2*y*z", "x*z^2"]]
+    res = versal_deformation(gens, degree=(0,), max_order=4)
+    assert res.order == 4 and not res.polynomial
+    coeffs = list(piece_coefficients(res))
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in coeffs)
+    assert any(type(c) is Fraction for c in coeffs)
+    defect = identity_defect(res)
+    assert defect.t_truncate(4).is_zero()
+
+
+def test_integral_lifts_store_int_coefficients(cone):
+    res = versal_deformation(nonclosing_generators(), degree=(0,), max_order=6)
+    for result in (cone, res):
+        assert all(type(c) is int for c in piece_coefficients(result))
+
+
+def test_nonclosing_lift_builds_few_fractions(monkeypatch):
+    # a load-independent work gate: with integral input the lift runs on
+    # int coefficients, and a Fraction is made only for a division that
+    # is not exact (over 10^5 when every coefficient was a Fraction)
+    real = Fraction.__new__
+    made = [0]
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return real(cls, *args, **kwargs)
+
+    gens = nonclosing_generators()
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    res = versal_deformation(gens, degree=(0,), max_order=10)
+    monkeypatch.undo()
+    assert res.order == 10 and not res.polynomial
+    assert made[0] <= 1000
+
+
 # -- the heap-ordered reduction against a plain one -------------------------
 
 def plain_reduce(gb, col, key=None):
@@ -485,7 +539,7 @@ def test_scaled_reduction_matches_plain_max_loop():
             vec = column([-6, -3, 2, 4, 6, 9])
             h, cofs, scale = engine.nf_with_input_cofactors(vec)
             assert ({t: Fraction(c, scale) for t, c in h.items()},
-                    {i: {m: c / scale for m, c in fd.items()}
+                    {i: {m: Fraction(c, scale) for m, c in fd.items()}
                      for i, fd in cofs.items()}) == plain_reduce(gb, vec, key)
         if eliminate is None:
             xb = deformation._XBasis(gb)

@@ -18,6 +18,7 @@ from versal import (
     parameter_ring,
     parse_expr,
 )
+from versal.polyring import ratio
 
 R2 = RingSpec(("x", "y"))
 G2 = RingSpec(("x", "y"), (), ((1,), (1,)))
@@ -74,6 +75,128 @@ def test_derivative_is_leibniz(a, b):
     da = a.partial_derivative("x")
     db = b.partial_derivative("x")
     assert (a * b).partial_derivative("x") == da * b + a * db
+
+
+# -- hypothesis: coefficients against an all-Fraction reference ------------
+#
+# The reference keeps {monomial: Fraction} dicts and does each operation the
+# plain way.  Polynomial must agree with it in value, and must store each
+# coefficient as an int exactly when it is integral (never a float).
+
+R3 = RingSpec(("y", "z", "x"))
+scalars = st.one_of(st.integers(min_value=-6, max_value=6),
+                    st.fractions(min_value=-6, max_value=6, max_denominator=4))
+term_dicts = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), scalars, max_size=4)
+
+
+def ref_clean(d):
+    return {m: c for m, c in d.items() if c}
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + sign * c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(a, n):
+    out = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_derivative(a, i):
+    out = {}
+    for m, c in a.items():
+        if m[i]:
+            dm = m[:i] + (m[i] - 1,) + m[i + 1:]
+            out[dm] = out.get(dm, Fraction(0)) + c * m[i]
+    return ref_clean(out)
+
+
+def ref_substitute(a, i, v):
+    out = {}
+    for m, c in a.items():
+        dm = m[:i] + (0,) + m[i + 1:]
+        out[dm] = out.get(dm, Fraction(0)) + c * Fraction(v) ** m[i]
+    return ref_clean(out)
+
+
+def ref_map_to_r3(a):
+    # R2's x is R3's third variable and y its first
+    return {(m[1], 0, m[0]): c for m, c in a.items()}
+
+
+def assert_agrees(p, expected):
+    assert p.terms_dict == expected
+    for c in p.terms_dict.values():
+        assert not isinstance(c, float)
+        assert type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+
+
+@settings(max_examples=80, deadline=None)
+@given(term_dicts, term_dicts, scalars, st.integers(0, 3),
+       st.sampled_from(["x", "y"]), scalars)
+def test_coefficients_match_fraction_reference(ta, tb, q, n, var, v):
+    a, b = Polynomial(R2, ta), Polynomial(R2, tb)
+    ra = ref_clean({m: Fraction(c) for m, c in ta.items()})
+    rb = ref_clean({m: Fraction(c) for m, c in tb.items()})
+    i = R2.index(var)
+    assert_agrees(a, ra)
+    assert_agrees(a + b, ref_add(ra, rb))
+    assert_agrees(a - b, ref_add(ra, rb, -1))
+    assert_agrees(a * b, ref_mul(ra, rb))
+    assert_agrees(a * q, ref_clean({m: c * q for m, c in ra.items()}))
+    assert_agrees(q * a, ref_clean({m: c * q for m, c in ra.items()}))
+    assert_agrees(a ** n, ref_pow(ra, n))
+    assert_agrees(a.substitute({var: v}), ref_substitute(ra, i, v))
+    assert_agrees(a.partial_derivative(var), ref_derivative(ra, i))
+    assert_agrees(a.map_ring(R3), ref_map_to_r3(ra))
+
+
+def test_integral_constant_has_one_form():
+    forms = [Polynomial.constant(R2, 3),
+             Polynomial.constant(R2, Fraction(6, 2)),
+             parse_expr("3", R2)]
+    for p in forms:
+        assert p == forms[0]
+        assert hash(p) == hash(forms[0])
+        assert str(p) == "3"
+        assert type(p.constant_term()) is int
+
+
+def test_float_coefficients_refused():
+    # 0.1 has no exact binary value; storing its nearest double as a
+    # Fraction would silently change the input
+    with pytest.raises(TypeError):
+        Polynomial.constant(R2, 0.1)
+    with pytest.raises(TypeError):
+        Polynomial(R2, {(1, 0): 0.5})
+    with pytest.raises(TypeError):
+        Polynomial.from_monomial(R2, (1, 0), 2.0)
+
+
+def test_ratio_is_exact():
+    assert ratio(6, 3) == 2 and type(ratio(6, 3)) is int
+    assert ratio(-6, 4) == Fraction(-3, 2)
+    assert type(ratio(Fraction(3, 2), Fraction(1, 2))) is int
+    assert ratio(Fraction(3, 2), 2) == Fraction(3, 4)
+    with pytest.raises(ZeroDivisionError):
+        ratio(1, 0)
+    with pytest.raises(TypeError):
+        ratio(0.5, 2)
 
 
 # -- explicit arithmetic ----------------------------------------------------
