@@ -20,12 +20,10 @@ from .polyring import (
     parameter_ring,
 )
 from .exactla import (
-    ScalarMatrix,
     rref,
     rref_with_transform,
     rank,
     kernel_basis,
-    solve,
 )
 from .groebner import (
     FreeModuleElement,
@@ -39,7 +37,6 @@ from .groebner import (
     monomials_of_degree,
     standard_monomials,
     hilbert_function,
-    graded_piece_basis,
 )
 from .cotangent import (
     TangentBasis,
@@ -60,12 +57,11 @@ __all__ = [
     "LiftError", "ObstructionError", "RingMismatchError",
     "RingSpec", "Polynomial", "parse_expr", "format_expr",
     "extend_with_parameters", "parameter_ring",
-    "ScalarMatrix", "rref", "rref_with_transform", "rank", "kernel_basis",
-    "solve",
+    "rref", "rref_with_transform", "rank", "kernel_basis",
     "FreeModuleElement", "PolyMatrix", "GroebnerBasis", "buchberger",
     "syzygy_matrix", "koszul_syzygies", "module_quotient_lift",
     "kernel_mod_ideal", "monomials_of_degree", "standard_monomials",
-    "hilbert_function", "graded_piece_basis",
+    "hilbert_function",
     "TangentBasis", "as_generator_matrix", "jacobian_matrix",
     "first_syzygies", "cotangent1", "cotangent2", "normal_matrix",
     "DeformationResult", "versal_deformation",

@@ -184,9 +184,10 @@ def _nf(gbI, p):
     return gbI.normal_form(p) if gbI is not None else p
 
 
-def _vector_coords(gbI, ring, column, index, ncols):
-    """Coordinates of an S^amb column after reduction, or raise."""
-    v = [0] * ncols
+def _vector_coords(gbI, column, index):
+    """Coordinates {label index: entry} of an S^amb column after
+    reduction, or raise."""
+    v = {}
     for pos, p in enumerate(column):
         if p.is_zero():
             continue
@@ -203,8 +204,8 @@ def _vector_coords(gbI, ring, column, index, ncols):
 def _graded_kernel(F0, amb_degrees, cond, cond_degrees):
     """Kernel of the reduction of `cond`^T on the given graded slots.
 
-    Returns (labels, index, ScalarMatrix of kernel columns in those
-    coordinates), with labels and index as from `_std_space`.  The
+    Returns (labels, index, kernel vectors {label index: entry} as from
+    `kernel_basis`), with labels and index as from `_std_space`.  The
     conditions are the columns of `cond` paired against the ambient vector,
     each condition c landing in the degree cond_degrees[c] piece of S/I,
     whose coordinates are the `_std_space` labels of cond_degrees.
@@ -231,29 +232,27 @@ def _graded_kernel(F0, amb_degrees, cond, cond_degrees):
     return labels, index, kernel_basis(SparseMatrix(len(labels), rows))
 
 
-def _coords_to_columns(ring, amb, labels, matrix, selection=None):
+def _coords_to_columns(ring, amb, labels, vectors, selection=None):
+    if selection is not None:
+        vectors = [vectors[j] for j in selection]
     cols = []
-    indices = range(matrix.cols) if selection is None else selection
-    for j in indices:
+    for v in vectors:
         comps = [dict() for _ in range(amb)]
-        for idx, (pos, mono) in enumerate(labels):
-            c = matrix[idx, j]
-            if c:
-                comps[pos][mono] = c
+        for idx, c in v.items():
+            pos, mono = labels[idx]
+            comps[pos][mono] = c
         cols.append([Polynomial(ring, d) for d in comps])
     return cols
 
 
 def _quotient_selection(trivial_vectors, kernel):
-    """Indices of kernel columns spanning kernel / span(trivial)."""
+    """Indices of kernel vectors spanning kernel / span(trivial)."""
     ntr = len(trivial_vectors)
-    rows = [{ntr + j: c for j, c in enumerate(kernel.row(i)) if c}
-            for i in range(kernel.rows)]
-    for j, v in enumerate(trivial_vectors):
-        for i, c in enumerate(v):
-            if c:
-                rows[i][j] = c
-    _, pivots = rref(SparseMatrix(ntr + kernel.cols, rows))
+    rows = {}
+    for j, v in enumerate(trivial_vectors + kernel):
+        for i, c in v.items():
+            rows.setdefault(i, {})[j] = c
+    _, pivots = rref(SparseMatrix(ntr + len(kernel), list(rows.values())))
     return [p - ntr for p in pivots if p >= ntr]
 
 
@@ -307,8 +306,7 @@ def cotangent1(F0, degree=None):
         for mono in monomials_of_degree(ring, _shift(d, ring.x_degrees[i])):
             mu = Polynomial.from_monomial(ring, mono)
             trivial.append(_vector_coords(
-                gbI, ring, [mu * jac[p, i] for p in range(F0.cols)],
-                index, len(labels)))
+                gbI, [mu * jac[p, i] for p in range(F0.cols)], index))
     selection = _quotient_selection(trivial, ker)
     cols = _coords_to_columns(ring, F0.cols, labels, ker, selection)
     vectors = PolyMatrix.from_columns(
@@ -351,8 +349,7 @@ def cotangent2(F0, degree=None):
         for mono in monomials_of_degree(ring, _shift(d, F0.col_degrees[i])):
             mu = Polynomial.from_monomial(ring, mono)
             trivial.append(_vector_coords(
-                gbI, ring, [mu * R0[i, s] for s in range(l)],
-                index, len(labels)))
+                gbI, [mu * R0[i, s] for s in range(l)], index))
     selection = _quotient_selection(trivial, ker)
     cols = _coords_to_columns(ring, l, labels, ker, selection)
     vectors = PolyMatrix.from_columns(

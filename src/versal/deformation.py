@@ -188,9 +188,8 @@ def _echelon_obstructions(V, gb0):
     trows = []
     for j, pc in enumerate(pivots):
         lookup[labels[pc]] = j
-        rows.append([(labels[c], R[j, c])
-                     for c in range(len(labels)) if R[j, c]])
-        trows.append([T[j, k] for k in range(d)])
+        rows.append([(labels[c], x) for c, x in R[j].items()])
+        trows.append([T[j].get(k, 0) for k in range(d)])
     return lookup, rows, trows
 
 

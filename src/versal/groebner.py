@@ -34,8 +34,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import FiniteDimError, GradingError, LiftError, VersalError
-from .exactla import (ScalarMatrix, SparseMatrix, echelon_insert, integer_row,
-                      kernel_basis)
+from .exactla import echelon_insert, integer_row
 from .polyring import (
     Polynomial,
     mono_div,
@@ -1365,77 +1364,3 @@ def hilbert_function(ideal, d):
         raise GradingError("hilbert_function wants a parameter-free ring; "
                            "restrict to the parameter block first")
     return len(standard_monomials(gb, d))
-
-
-def standard_module_monomials_of_degree(gb, d, row_degrees):
-    """(position, monomial) pairs of module degree d outside the lead module."""
-    d = _as_degree(d)
-    lts = gb.leading_terms()
-    out = []
-    for pos in range(gb.rank):
-        target = tuple(a - b for a, b in zip(d, row_degrees[pos]))
-        if any(c < 0 for c in target):
-            continue
-        pos_lts = [m for p, m in lts if p == pos]
-        for mono in monomials_of_degree(gb.ring, target):
-            if not any(mono_divides(l, mono) for l in pos_lts):
-                out.append((pos, mono))
-    return out
-
-
-def graded_piece_basis(presentation, d, kind="coker"):
-    """k-basis of the degree-d piece of coker/ker of a graded PolyMatrix.
-
-    Returns (ScalarMatrix, labels): basis columns in the coordinates of the
-    labelled monomials.  For "coker" the labels index the target free module
-    and the basis is the standard monomial one; for "ker" the labels index
-    the source and the columns span the degree-d kernel.
-    """
-    M = presentation
-    d = _as_degree(d)
-    if not M.ring.is_graded:
-        raise GradingError("graded_piece_basis needs a graded ring")
-    if kind == "coker":
-        if M.row_degrees is None:
-            raise GradingError("coker piece needs row degrees")
-        if M.cols and not M.is_zero():
-            gb = buchberger(M)
-            labels = standard_module_monomials_of_degree(gb, d, M.row_degrees)
-        else:
-            labels = []
-            for pos in range(M.rows):
-                target = tuple(a - b for a, b in zip(d, M.row_degrees[pos]))
-                for mono in monomials_of_degree(M.ring, target):
-                    labels.append((pos, mono))
-        return ScalarMatrix.identity(len(labels)), labels
-    if kind != "ker":
-        raise VersalError("kind must be 'coker' or 'ker'")
-    if M.col_degrees is None or M.row_degrees is None:
-        raise GradingError("ker piece needs row and column degrees")
-    src_labels = []
-    for j in range(M.cols):
-        target = tuple(a - b for a, b in zip(d, M.col_degrees[j]))
-        for mono in monomials_of_degree(M.ring, target):
-            src_labels.append((j, mono))
-    tgt_labels = {}
-    tgt_list = []
-    for i in range(M.rows):
-        target = tuple(a - b for a, b in zip(d, M.row_degrees[i]))
-        for mono in monomials_of_degree(M.ring, target):
-            tgt_labels[(i, mono)] = len(tgt_list)
-            tgt_list.append((i, mono))
-    rows = [{} for _ in tgt_list]
-    for col_idx, (j, mono) in enumerate(src_labels):
-        mu = Polynomial.from_monomial(M.ring, mono)
-        for i in range(M.rows):
-            p = M.entries[i][j]
-            if p.is_zero():
-                continue
-            prod = mu * p
-            for m2, c in prod.terms_dict.items():
-                row_idx = tgt_labels.get((i, m2))
-                if row_idx is None:
-                    raise GradingError("presentation is not homogeneous")
-                row = rows[row_idx]
-                row[col_idx] = row.get(col_idx, 0) + c
-    return kernel_basis(SparseMatrix(len(src_labels), rows)), src_labels

@@ -128,11 +128,6 @@ class RingSpec:
     def zero_mono(self):
         return (0,) * self.nvars
 
-    def t_order_of(self, mono):
-        """Total degree of the t-part of a monomial."""
-        nx = self.nx
-        return sum(mono[nx:])
-
     def monomial_degree(self, mono):
         """Multidegree of a monomial as a tuple (graded rings only)."""
         if self.x_degrees is None:
@@ -312,12 +307,6 @@ class Polynomial:
 
     def constant_term(self):
         return self._terms.get(self.ring.zero_mono(), 0)
-
-    def total_degree(self):
-        """Total degree in all variables; None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(sum(m) for m in self._terms)
 
     def t_order(self):
         """Smallest total t-degree among terms; None for zero."""

@@ -12,7 +12,6 @@ import time
 from versal import (
     Polynomial,
     RingSpec,
-    ScalarMatrix,
     as_generator_matrix,
     buchberger,
     cotangent1,
@@ -27,6 +26,7 @@ from versal import (
     versal_deformation,
 )
 from versal.cli import main
+from versal.exactla import SparseMatrix
 
 
 def minors_ideal():
@@ -172,18 +172,15 @@ def test_criterion_6a_membership_vs_linear_algebra():
                 continue
             for m in monomials_of_degree(ring, (d - dg,)):
                 cols.append(Polynomial.from_monomial(ring, m) * g)
-        monos = monomials_of_degree(ring, (d,))
-        index = {m: i for i, m in enumerate(monos)}
-        M = ScalarMatrix(len(monos), len(cols) + 1)
+        rows = {m: {} for m in monomials_of_degree(ring, (d,))}
         for j, c in enumerate(cols):
             for m, v in c.terms_dict.items():
-                M.data[index[m] * M.cols + j] = v
+                rows[m][j] = v
+        with_q = {m: dict(row) for m, row in rows.items()}
         for m, v in q.terms_dict.items():
-            M.data[index[m] * M.cols + len(cols)] = v
-        without = ScalarMatrix(len(monos), len(cols))
-        for i in range(len(monos)):
-            for j in range(len(cols)):
-                without.data[i * without.cols + j] = M.data[i * M.cols + j]
+            with_q[m][len(cols)] = v
+        M = SparseMatrix(len(cols) + 1, list(with_q.values()))
+        without = SparseMatrix(len(cols), list(rows.values()))
         return rank(M) == rank(without)
 
     checked = 0

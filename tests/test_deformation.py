@@ -369,10 +369,12 @@ def test_integral_lifts_store_int_coefficients(cone):
         assert all(type(c) is int for c in piece_coefficients(result))
 
 
-def test_nonclosing_lift_builds_few_fractions(monkeypatch):
-    # a load-independent work gate: with integral input the lift runs on
-    # int coefficients, and a Fraction is made only for a division that
-    # is not exact (over 10^5 when every coefficient was a Fraction)
+@pytest.mark.parametrize("workload", ["nonclosing", "diagonal"])
+def test_nonclosing_lift_builds_few_fractions(monkeypatch, workload):
+    # a load-independent work gate: with integral input the tangent
+    # spaces and the lift run on int coefficients, and a Fraction is made
+    # only for a division that is not exact (over 10^5 when every
+    # coefficient was a Fraction)
     real = Fraction.__new__
     made = [0]
 
@@ -380,12 +382,15 @@ def test_nonclosing_lift_builds_few_fractions(monkeypatch):
         made[0] += 1
         return real(cls, *args, **kwargs)
 
-    gens = nonclosing_generators()
+    if workload == "nonclosing":
+        gens, degree, order = nonclosing_generators(), (0,), 10
+    else:
+        gens, degree, order = load_input(DIAGONAL_FILE).generators, (0, 0, 0), 6
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    res = versal_deformation(gens, degree=(0,), max_order=10)
+    res = versal_deformation(gens, degree=degree, max_order=10)
     monkeypatch.undo()
-    assert res.order == 10 and not res.polynomial
-    assert made[0] <= 1000
+    assert res.order == order and res.polynomial == (workload == "diagonal")
+    assert made[0] <= 50
 
 
 # -- the heap-ordered reduction against a plain one -------------------------

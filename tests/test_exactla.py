@@ -5,22 +5,28 @@ from fractions import Fraction
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from versal import ScalarMatrix, kernel_basis, rank, rref, rref_with_transform, solve
+from versal import kernel_basis, rank, rref, rref_with_transform
 from versal.exactla import SparseMatrix
 
 
 def mat(rows):
-    return ScalarMatrix.from_rows([[Fraction(v) for v in row] for row in rows])
+    """SparseMatrix of a list of rows of numbers, zero entries left out."""
+    c = len(rows[0]) if rows else 0
+    return SparseMatrix(c, [{j: Fraction(x) for j, x in enumerate(row) if x}
+                            for row in rows])
 
 
-def matmul(A, B):
-    C = ScalarMatrix(A.rows, B.cols)
-    for i in range(A.rows):
-        for j in range(B.cols):
-            C.data[i * B.cols + j] = sum(
-                A.data[i * A.cols + k] * B.data[k * B.cols + j]
-                for k in range(A.cols))
-    return C
+def dense(rows, ncols, nrows=None):
+    """Rows of {column: entry} as lists of Fractions, padded with zero
+    rows up to `nrows`."""
+    out = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    if nrows is not None:
+        out += [[Fraction(0)] * ncols for _ in range(nrows - len(rows))]
+    return out
+
+
+def dot(row, vector):
+    return sum((x * vector.get(j, 0) for j, x in row.items()), Fraction(0))
 
 
 entries = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -35,46 +41,29 @@ def matrices(draw, max_dim=5):
 
 def test_rref_canonical_form():
     R, pivots = rref(mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]]))
-    assert R.data == mat([[1, 0, 1], [0, 1, 1], [0, 0, 0]]).data
+    assert R == [{0: 1, 2: 1}, {1: 1, 2: 1}]
     assert pivots == [0, 1]
 
 
 def test_rank_and_kernel_dimensions():
     M = mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert rank(M) == 2
-    K = kernel_basis(M)
-    assert K.rows == 3 and K.cols == 1
-    assert K.column(0) == [Fraction(-1), Fraction(-1), Fraction(1)]
-
-
-def test_solve_consistent_and_inconsistent():
-    M = mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    x = solve(M, [Fraction(6), Fraction(12), Fraction(2)])
-    assert x == [Fraction(2), Fraction(2), Fraction(0)]
-    assert solve(M, [Fraction(1), Fraction(0), Fraction(0)]) is None
-
-
-def test_identity_and_transpose():
-    I = ScalarMatrix.identity(3)
-    assert rank(I) == 3
-    M = mat([[1, 2], [3, 4], [5, 6]])
-    assert M.transpose().row(0) == [Fraction(1), Fraction(3), Fraction(5)]
-    assert M.transpose().transpose().data == M.data
+    assert kernel_basis(M) == [{0: -1, 1: -1, 2: 1}]
+    assert rank(mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
 
 
 def test_zero_sized_matrices():
-    Z = ScalarMatrix(0, 3)
+    Z = SparseMatrix(3, [])
     assert rank(Z) == 0
-    assert kernel_basis(Z).cols == 3  # everything is in the kernel
-    assert rank(ScalarMatrix(3, 0)) == 0
+    assert kernel_basis(Z) == [{0: 1}, {1: 1}, {2: 1}]  # everything is in the kernel
+    assert rank(SparseMatrix(0, [{}, {}, {}])) == 0
 
 
 @settings(max_examples=50, deadline=None)
 @given(matrices())
 def test_rref_is_idempotent_and_rank_bounded(M):
     R, pivots = rref(M)
-    R2, pivots2 = rref(R)
-    assert R2.data == R.data and pivots2 == pivots
+    assert rref(SparseMatrix(M.cols, R)) == (R, pivots)
     assert len(pivots) == rank(M) <= min(M.rows, M.cols)
 
 
@@ -82,31 +71,40 @@ def test_rref_is_idempotent_and_rank_bounded(M):
 @given(matrices())
 def test_kernel_vectors_annihilate(M):
     K = kernel_basis(M)
-    assert rank(M) + K.cols == M.cols
-    P = matmul(M, K)
-    assert all(v == 0 for v in P.data)
+    assert rank(M) + len(K) == M.cols
+    assert all(dot(row, v) == 0 for row in M.entries for v in K)
 
 
 @settings(max_examples=50, deadline=None)
 @given(matrices())
 def test_transform_reproduces_rref(M):
     R, pivots, T = rref_with_transform(M)
-    assert matmul(T, M).data == R.data
-    Rplain, pivots_plain = rref(M)
-    assert R.data == Rplain.data and pivots == pivots_plain
+    assert len(R) == len(T) == M.rows
+    for t, r in zip(T, R):
+        assert [sum((c * M.entries[k].get(j, 0) for k, c in t.items()), Fraction(0))
+                for j in range(M.cols)] == dense([r], M.cols)[0]
+    assert (R[:len(pivots)], pivots) == rref(M)
+    assert not any(R[len(pivots):])
 
 
-@settings(max_examples=50, deadline=None)
-@given(matrices(), st.lists(entries, min_size=1, max_size=5))
-def test_solve_round_trip(M, xs):
-    xs = (xs * M.cols)[: M.cols]
-    b = [sum(M.data[i * M.cols + j] * xs[j] for j in range(M.cols))
-         for i in range(M.rows)]
-    x = solve(M, b)
-    assert x is not None
-    bx = [sum(M.data[i * M.cols + j] * x[j] for j in range(M.cols))
-          for i in range(M.rows)]
-    assert bx == b
+def exact_and_sorted(row):
+    return (list(row) == sorted(row)
+            and all(x != 0 for x in row.values())
+            and all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+                    for x in row.values()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+@example(mat([[2, 4], [3, 6]]))
+@example(mat([[Fraction(1, 2), 1, 3], [0, 2, Fraction(2, 3)]]))
+def test_results_are_sparse_exact_sorted_rows(M):
+    # every entry returned is nonzero, an int when integral, and each
+    # row's keys come in increasing order
+    R, _ = rref(M)
+    R2, _, T = rref_with_transform(M)
+    for row in R + kernel_basis(M) + R2 + T:
+        assert exact_and_sorted(row)
 
 
 # -- independent oracle -------------------------------------------------------
@@ -137,10 +135,6 @@ def reference_product(A, B, inner):
              for j in range(len(B[0]) if B else 0)] for i in range(len(A))]
 
 
-def as_rows(M):
-    return [M.row(r) for r in range(M.rows)]
-
-
 sparse_entries = st.one_of(st.just(Fraction(0)), entries)
 
 
@@ -162,7 +156,8 @@ def row_lists(draw, max_dim=5, min_rows=0):
 
 
 def to_matrix(rows, c):
-    return ScalarMatrix(len(rows), c, [x for row in rows for x in row])
+    """Every entry of `rows` given, zeros included."""
+    return SparseMatrix(c, [dict(enumerate(row)) for row in rows])
 
 
 EDGE_CASES = [([], 3), ([[], []], 0), ([[Fraction(0)] * 3] * 2, 3)]
@@ -177,8 +172,7 @@ def test_rref_matches_reference_gauss_jordan(rc):
     rows, c = rc
     R, pivots = rref(to_matrix(rows, c))
     Rref, pivots_ref = reference_rref(rows, c)
-    assert (R.rows, R.cols) == (len(rows), c)
-    assert as_rows(R) == Rref
+    assert dense(R, c, len(rows)) == Rref
     assert pivots == pivots_ref
     S = SparseMatrix(c, [{j: x for j, x in enumerate(row) if x} for row in rows])
     assert rref(S) == (R, pivots)
@@ -193,10 +187,11 @@ def test_transform_is_invertible_and_reproduces_rref(rc):
     rows, c = rc
     R, pivots, T = rref_with_transform(to_matrix(rows, c))
     Rref, pivots_ref = reference_rref(rows, c)
-    assert as_rows(R) == Rref and pivots == pivots_ref
-    assert (T.rows, T.cols) == (len(rows), len(rows))
-    assert reference_product(as_rows(T), rows, len(rows)) == Rref
-    assert len(reference_rref(as_rows(T), len(rows))[1]) == len(rows)
+    assert dense(R, c) == Rref and pivots == pivots_ref
+    T = dense(T, len(rows))
+    assert len(T) == len(rows)
+    assert reference_product(T, rows, len(rows)) == Rref
+    assert len(reference_rref(T, len(rows))[1]) == len(rows)
 
 
 @st.composite
@@ -220,4 +215,4 @@ def test_transform_of_full_row_rank_is_inverse_on_pivots(rc):
               for i, row in enumerate(rows)]
     inverse = [row[m:] for row in reference_rref(square, 2 * m)[0]]
     _, _, T = rref_with_transform(to_matrix(rows, c))
-    assert as_rows(T) == inverse
+    assert dense(T, m) == inverse

@@ -20,7 +20,6 @@ from versal import (
     as_generator_matrix,
     buchberger,
     format_expr,
-    graded_piece_basis,
     hilbert_function,
     kernel_mod_ideal,
     koszul_syzygies,
@@ -323,13 +322,6 @@ def test_standard_monomials_degree_011():
     std = standard_monomials(gb, (0, 1, 1))
     found = {format_expr(Polynomial.from_monomial(ring, m)) for m in std}
     assert found == {"y1*z3", "y2*z2", "y2*z3", "y3*z1", "y3*z2", "y3*z3"}
-
-
-def test_graded_piece_basis_quotient():
-    ring, gens = diagonal_ring_and_gens()
-    F = as_generator_matrix(gens)
-    basis, labels = graded_piece_basis(F, (0, 1, 1), kind="coker")
-    assert basis.cols == 6 and len(labels) == 6
 
 
 def test_infinite_staircase_detected():
