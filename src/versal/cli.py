@@ -119,21 +119,22 @@ def _tangent_command(name, args, system):
     else:
         basis = normal_matrix(F0, degree)
         label = "normal"
-    text = "dim %s = %d\n%s" % (label, basis.dimension,
+    if args.json:
+        return document(name, dims={name: basis.dimension},
+                        matrices={"basis": basis.vectors})
+    return "dim %s = %d\n%s" % (label, basis.dimension,
                                 format_matrix(basis.vectors))
-    doc = document(name, dims={name: basis.dimension},
-                   matrices={"basis": basis.vectors})
-    return doc, text
 
 
 def _gb_command(args, system):
     gb = buchberger(system.generators)
     polys = gb.polynomials()
+    if args.json:
+        return document("gb", dims={"elements": len(polys)},
+                        matrices={"basis": [[format_expr(p)] for p in polys]})
     lines = ["Groebner basis, %d elements:" % len(polys)]
     lines.extend(format_expr(p) for p in polys)
-    doc = document("gb", dims={"elements": len(polys)},
-                   matrices={"basis": [[format_expr(p)] for p in polys]})
-    return doc, "\n".join(lines)
+    return "\n".join(lines)
 
 
 def _hilbert_command(args, system):
@@ -148,10 +149,10 @@ def _hilbert_command(args, system):
         gens = [p.map_ring(std) for p in system.generators]
     gb = buchberger(gens)
     values = [hilbert_function(gb, (k,)) for k in range(args.upto + 1)]
-    lines = ["H(%d) = %d" % (k, v) for k, v in enumerate(values)]
-    doc = document("hilbert",
-                   dims={str(k): v for k, v in enumerate(values)})
-    return doc, "\n".join(lines)
+    if args.json:
+        return document("hilbert",
+                        dims={str(k): v for k, v in enumerate(values)})
+    return "\n".join("H(%d) = %d" % (k, v) for k, v in enumerate(values))
 
 
 def _deform_command(args, system):
@@ -171,7 +172,20 @@ def _deform_command(args, system):
               flush=True)
     F, R = res.family(), res.relations()
     G, C = res.obstruction_equations(), res.coefficient_matrix()
-    lines = [
+    if args.json:
+        return document(
+            "deform",
+            dims={"t1": res.tangent_dimension,
+                  "t2": res.obstruction_dimension},
+            matrices={"F": F, "R": R, "G": G, "C": C},
+            series={"F": series_rows(res.F_pieces),
+                    "R": series_rows(res.R_pieces),
+                    "G": series_rows(res.G_pieces),
+                    "C": series_rows(res.C_pieces)},
+            status=status,
+            orders_log=res.log,
+        )
+    return "\n".join([
         "dim T1 = %d" % res.tangent_dimension,
         "dim T2 = %d" % res.obstruction_dimension,
         "status: %s" % status,
@@ -180,32 +194,22 @@ def _deform_command(args, system):
         "R =", format_matrix(R),
         "G =", format_matrix(G),
         "C =", format_matrix(C),
-    ]
-    doc = document(
-        "deform",
-        dims={"t1": res.tangent_dimension, "t2": res.obstruction_dimension},
-        matrices={"F": F, "R": R, "G": G, "C": C},
-        series={"F": series_rows(res.F_pieces),
-                "R": series_rows(res.R_pieces),
-                "G": series_rows(res.G_pieces),
-                "C": series_rows(res.C_pieces)},
-        status=status,
-        orders_log=res.log,
-    )
-    return doc, "\n".join(lines)
+    ])
 
 
 def _dispatch(args):
+    # each handler builds only the form that is written: the document
+    # under --json, else the text
     system = load_input(args.input)
     if args.command in ("t1", "t2", "normal"):
-        doc, text = _tangent_command(args.command, args, system)
+        out = _tangent_command(args.command, args, system)
     elif args.command == "gb":
-        doc, text = _gb_command(args, system)
+        out = _gb_command(args, system)
     elif args.command == "hilbert":
-        doc, text = _hilbert_command(args, system)
+        out = _hilbert_command(args, system)
     else:
-        doc, text = _deform_command(args, system)
-    body = dumps(doc) if args.json else text + "\n"
+        out = _deform_command(args, system)
+    body = dumps(out) if args.json else out + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(body)

@@ -19,6 +19,10 @@ ring, and the reduction runs through its own Gröbner engine
 (`groebner._Engine.reduce_full`), the loop every other module reduction
 uses; `_XBasis` only converts between term dicts of exact rationals and
 the engine's integer vectors.
+The lift keeps every piece as term dicts keyed by packed monomials
+(`polyring.RingSpec.pack`), so each product of two terms is one integer
+addition; the pieces are packed once when the first-order family is known
+and unpacked once into matrices for the result.
 The normal form is absorbed into new G and C contributions (phase A); the
 correction these make to the residual is reduced on its own when it is not
 empty, and since reduction is linear the two results add up to those of
@@ -42,7 +46,7 @@ from .exactla import SparseMatrix, rref_with_transform
 from .groebner import (PolyMatrix, _ideal_unit_columns, _TermQueue,
                        _terms_to_ivec, buchberger, module_quotient_lift)
 from .polyring import (Polynomial, RingSpec, add_into, extend_with_parameters,
-                       mono_div, mono_divides, mono_mul, mul_into, ratio)
+                       mul_into, ratio)
 
 MSG_FIRST_ORDER = "Calculating first order deformations and obstruction space"
 MSG_RELATIONS = "Calculating first order relations"
@@ -61,7 +65,8 @@ class _XBasis:
     terminates.  This class only converts formats: it clears the
     denominators of a column, reduces it with
     `_Engine.nf_with_input_cofactors`, and divides the results back through
-    `ratio`, so integral coefficients stay `int`.
+    `ratio`, so integral coefficients stay `int`.  Monomials are words of
+    the parameter ring throughout, as in the engine.
     """
 
     __slots__ = ("engine",)
@@ -70,9 +75,9 @@ class _XBasis:
         self.engine = gb._engine
 
     def reduce(self, col):
-        """Normal form of a term-dict column ``{(pos, mono): coeff}``, and
+        """Normal form of a term-dict column ``{(pos, word): coeff}``, and
         its cofactors over the original generators of the basis, as
-        ``{gen_index: term_dict}`` with col == nf + sum(cof * gen)."""
+        ``{gen_index: {word: coeff}}`` with col == nf + sum(cof * gen)."""
         vec, den = _terms_to_ivec(col)
         h, cofs, scale = self.engine.nf_with_input_cofactors(vec)
         q = scale * den
@@ -84,12 +89,15 @@ class _XBasis:
 class _LiftState:
     """Mutable bookkeeping for one lifting run.
 
-    Pieces are indexed by parameter order: F[k] and R[k] are lists, G and C
-    dicts keyed by order (G starts at 2, C at 0 with C[0] the matrix of
-    obstruction vectors).  ``lg`` maps a G row to the order of its lowest
-    nonzero piece and ``lg_poly`` to that piece itself.  ``next_error`` is
-    the order-(order + 1) part of the identity, kept by the last check for
-    the next step.
+    A piece is a matrix held as a list of rows of term dicts ``{word:
+    coeff}`` (see `_words`).  Pieces are indexed by parameter order: F[k]
+    (1 x m) and R[k] (m x l) are lists, G (d x 1) and C (l x d) dicts keyed
+    by order (G starts at 2, C at 0 with C[0] = V, the obstruction vectors).
+    ``lg`` maps a G row to the order of its lowest nonzero piece and
+    ``lg_poly`` to that piece's term dict.  ``vhat_lookup`` is keyed by
+    (position, word) and ``vhat_rows`` holds ((position, word), coeff)
+    terms.  ``next_error`` is the order-(order + 1) part of the identity,
+    kept by the last check for the next step.
     """
 
     __slots__ = ("ring", "m", "l", "d", "F", "R", "G", "C", "V",
@@ -120,11 +128,29 @@ class _LiftState:
         self.next_error = None
 
 
-def _require_order(mat, k, what):
-    """Raise LiftError unless every entry of `mat` has parameter order k."""
-    if not all(p.is_t_homogeneous(k) for row in mat.entries for p in row):
-        raise LiftError("%s piece of order %d has terms of another order"
-                        % (what, k))
+def _words(mat):
+    """A PolyMatrix as a piece: its rows of term dicts keyed by words."""
+    return [[p.words() for p in row] for row in mat.entries]
+
+
+def _matrix(ring, piece, row_degrees=None, col_degrees=None):
+    """A piece as a PolyMatrix."""
+    return PolyMatrix(ring, [[Polynomial.from_words(ring, fd) for fd in row]
+                             for row in piece], row_degrees, col_degrees)
+
+
+def _require_order(ring, piece, k, what):
+    """Raise LiftError unless every term of `piece` has parameter order k,
+    and VersalError if a word of it overflowed."""
+    overflow, t_degree = ring.overflow_mask, ring.t_degree
+    for row in piece:
+        for fd in row:
+            for w in fd:
+                if w & overflow:
+                    raise ring.overflow_error()
+                if t_degree(w) != k:
+                    raise LiftError("%s piece of order %d has terms of "
+                                    "another order" % (what, k))
 
 
 def _reduction_setup(F0m, R0, St):
@@ -136,14 +162,14 @@ def _reduction_setup(F0m, R0, St):
     generators are ordered so that the R0.cols columns of transpose(R0)
     come first, then for each position the ideal basis polynomials.
     ideal_exprs writes each ideal basis polynomial in the original
-    generator columns of F0, as one term dict per generator.  No input
-    involves a parameter, so both bases are the parameter-free ones with
-    padded monomials.
+    generator columns of F0, as one term dict ``{word: coeff}`` per
+    generator.  No input involves a parameter, so both bases are the
+    parameter-free ones with padded monomials.
     """
     gens = [p.map_ring(St) for p in F0m.entries[0]]
     nz = [(j, p) for j, p in enumerate(gens) if not p.is_zero()]
     gbI = buchberger([p for _, p in nz], track=True)
-    ideal_exprs = [{nz[i][0]: poly.terms_dict for i, poly in cofs.items()}
+    ideal_exprs = [{nz[i][0]: poly.words() for i, poly in cofs.items()}
                    for cofs in gbI.expressions()]
     hpolys = gbI.polynomials()
     l = R0.cols
@@ -157,28 +183,21 @@ def _echelon_obstructions(V, gb0):
     """Echelonize the obstruction vectors modulo relations and the ideal.
 
     V holds the obstruction vectors as columns, over the ring of gb0.
-    Returns (lookup, rows, T): lookup maps a leading (position, monomial)
-    pair to an echelon row index; rows holds the echelon vectors as term
-    lists with leading coefficient 1; row j of T expresses echelon vector j
-    in the original obstruction vectors.
+    Returns (lookup, rows, T): lookup maps a leading (position, word) pair
+    to an echelon row index; rows holds the echelon vectors as lists of
+    ((position, word), coeff) terms with leading coefficient 1; row j of T
+    expresses echelon vector j in the original obstruction vectors.
     """
-    ring = gb0.ring
     d = V.cols
-    reduced = []
-    support = set()
-    for k in range(d):
-        red = gb0.normal_form(V.column_element(k))
-        reduced.append(red)
-        for pos, comp in enumerate(red.components):
-            for m in comp.terms_dict:
-                support.add((pos, m))
-    labels = sorted(support,
-                    key=lambda t: (ring.monomial_key(t[1]), -t[0]),
-                    reverse=True)
+    reduced = [[comp.words() for comp in
+                gb0.normal_form(V.column_element(k)).components]
+               for k in range(d)]
+    support = {(pos, w) for red in reduced
+               for pos, fd in enumerate(red) for w in fd}
+    labels = sorted(support, key=lambda t: (t[1], -t[0]), reverse=True)
     col_of = {lab: c for c, lab in enumerate(labels)}
-    vectors = [{col_of[(pos, m)]: c
-                for pos, comp in enumerate(red.components)
-                for m, c in comp.terms_dict.items()}
+    vectors = [{col_of[(pos, w)]: c
+                for pos, fd in enumerate(red) for w, c in fd.items()}
                for red in reduced]
     R, pivots, T = rref_with_transform(SparseMatrix(len(labels), vectors))
     if len(pivots) != d:
@@ -196,40 +215,42 @@ def _echelon_obstructions(V, gb0):
 def _lowest_g_basis(state):
     """Tracked scalar basis of the lowest-order pieces of the G rows.
 
-    Each element is returned as (leading monomial, term dict, cofactor dicts
-    over the G rows); all three involve only the parameters.
+    Each element is returned as (exponent word and word of the leading
+    monomial, term dict, cofactor term dicts over the G rows); all of them
+    involve only the parameters.
     """
     if not state.lg:
         state.gbt = ()
         return
+    ring = state.ring
     rows = sorted(state.lg)
-    gb = buchberger([state.lg_poly[k] for k in rows], track=True)
+    gb = buchberger([Polynomial.from_words(ring, state.lg_poly[k])
+                     for k in rows], track=True)
     out = []
     for el, lt, expr in zip(gb.elements, gb.leading_terms(), gb.expressions()):
-        poly = el.components[0]
-        urep = {rows[i]: dict(c.terms_dict) for i, c in expr.items()}
-        out.append((lt[1], dict(poly.terms_dict), urep))
+        ltw = ring.pack(lt[1])
+        urep = {rows[i]: c.words() for i, c in expr.items()}
+        out.append((ring.exponents(ltw), ltw, el.components[0].words(), urep))
     state.gbt = tuple(out)
 
 
 def _fr_into(acc, Fa, Rb):
     """acc[s] += (Fa * Rb)[0, s]: the rows of transpose(Fa * Rb), added to
     the per-row term dicts `acc`."""
-    for f, row in zip(Fa.entries[0], Rb.entries):
-        fd = f.terms_dict
+    for fd, row in zip(Fa[0], Rb):
         if fd:
-            for s, r in enumerate(row):
-                if r.terms_dict:
-                    mul_into(acc[s], fd, r.terms_dict)
+            for s, rd in enumerate(row):
+                if rd:
+                    mul_into(acc[s], fd, rd)
 
 
 def _cg_into(acc, Cc, Gg):
-    """acc[i] += (Cc * Gg)[i, 0] for an l x d matrix Cc and a d x 1 Gg."""
-    gcol = [row[0].terms_dict for row in Gg.entries]
-    for a, row in zip(acc, Cc.entries):
-        for c, gd in zip(row, gcol):
-            if gd and c.terms_dict:
-                mul_into(a, c.terms_dict, gd)
+    """acc[i] += (Cc * Gg)[i, 0] for an l x d piece Cc and a d x 1 Gg."""
+    gcol = [row[0] for row in Gg]
+    for a, row in zip(acc, Cc):
+        for cd, gd in zip(row, gcol):
+            if gd and cd:
+                mul_into(a, cd, gd)
 
 
 def _error_term(state, target):
@@ -265,8 +286,8 @@ def _phase_a(state, nf, target):
     exact total absorbed through C (needed to rebuild the residual).
     """
     ring = state.ring
-    nx = ring.nx
-    ntail = ring.nvars - nx
+    split, exponents, dm = ring.split, ring.exponents, ring.div_mask
+    gbt = state.gbt or ()
     g_new = {}
     c_new = {}
     b_sub = {}
@@ -275,19 +296,20 @@ def _phase_a(state, nf, target):
     add = work.add
     while (top := work.pop()) is not None:
         term, coeff = top
-        pos, mono = term
-        xm = mono[:nx] + (0,) * ntail
-        tm = (0,) * nx + mono[nx:]
+        pos, word = term
+        xm, tm = split(word)
         hit = None
-        for cand in state.gbt or ():
-            if mono_divides(cand[0], tm):
-                hit = cand
-                break
+        if gbt:
+            te = exponents(tm)
+            for cand in gbt:
+                if not (te - cand[0]) & dm:
+                    hit = cand
+                    break
         if hit is not None:
-            ltm, hfd, urep = hit
-            base = mono_mul(xm, mono_div(tm, ltm))
+            _, ltm, hfd, urep = hit
+            base = word - ltm  # the x-part times tm / ltm
             for hm, hc in hfd.items():
-                t2 = (pos, mono_mul(base, hm))
+                t2 = (pos, base + hm)
                 v = b_sub.get(t2, 0) + coeff * hc
                 if v:
                     b_sub[t2] = v
@@ -305,7 +327,7 @@ def _phase_a(state, nf, target):
                 "no deformation beyond order %d: relation %d carries an "
                 "unliftable obstruction term" % (target - 1, pos))
         for t0, c2 in state.vhat_rows[j]:
-            t2 = (t0[0], mono_mul(t0[1], tm))
+            t2 = (t0[0], t0[1] + tm)
             if t2 != term:
                 add(t2, -coeff * c2)
         for k, tk in enumerate(state.vhat_T[j]):
@@ -338,24 +360,20 @@ def _lift_step(state):
     m, l = state.m, state.l
 
     part = state.next_error
-    ed = {(i, mo): c for i, row in enumerate(part) for mo, c in row.items()}
+    ed = {(i, w): c for i, row in enumerate(part) for w, c in row.items()}
     nf, cofs = state.xbasis.reduce(ed)
     g_new, c_new, b_sub = _phase_a(state, nf, target)
 
     # The exact residual error + V*g - b_sub lies in the module spanned by
     # the relation and ideal columns, whose tracked cofactors give the new
     # F and R pieces.
-    gmat = None
+    gpiece = None
     if any(fd for fd in g_new.values()):
-        rdeg = state.V.col_degrees
-        cdeg = ((0,) * ring.grading_rank,) if rdeg is not None else None
-        gmat = PolyMatrix(ring, [[Polynomial(ring, g_new.get(k, {}))]
-                                 for k in range(state.d)],
-                          row_degrees=rdeg, col_degrees=cdeg)
+        gpiece = [[g_new.get(k, {})] for k in range(state.d)]
     vg = [{} for _ in range(l)]  # V*g, which is also C[0]*G[target]
-    if gmat is not None:
-        _cg_into(vg, state.V, gmat)
-    corr = {(i, mo): c for i, row in enumerate(vg) for mo, c in row.items()}
+    if gpiece is not None:
+        _cg_into(vg, state.V, gpiece)
+    corr = {(i, w): c for i, row in enumerate(vg) for w, c in row.items()}
     add_into(corr, b_sub, -1)
     if corr:
         nf2, cofs2 = state.xbasis.reduce(corr)
@@ -365,55 +383,55 @@ def _lift_step(state):
     if nf:
         raise LiftError("residual fails to decompose at order %d" % target)
 
-    zero = Polynomial.zero(ring)
-    f_polys = [zero] * m
+    f_row = [{} for _ in range(m)]
     r_acc = [[{} for _ in range(l)] for _ in range(m)]
     ng = state.n_ideal
     for idx, fd in cofs.items():
         if idx < m:
-            f_polys[idx] = Polynomial(ring, {mo: -c for mo, c in fd.items()})
+            f_row[idx] = {w: -c for w, c in fd.items()}
         else:
             pos, gi = divmod(idx - m, ng)
             for j, expr in state.ideal_exprs[gi].items():
                 mul_into(r_acc[j][pos], fd, expr, -1)
-    state.F.append(PolyMatrix(ring, [f_polys]))
-    state.R.append(PolyMatrix(ring,
-                              [[Polynomial(ring, r_acc[j][s]) for s in range(l)]
-                               for j in range(m)]))
-    _require_order(state.F[target], target, "F")
-    _require_order(state.R[target], target, "R")
+    state.F.append([f_row])
+    state.R.append(r_acc)
+    _require_order(ring, state.F[target], target, "F")
+    _require_order(ring, state.R[target], target, "R")
     _fr_into(part, state.F[target], state.R[0])
     _fr_into(part, state.F[0], state.R[target])
 
-    if gmat is not None:
-        state.G[target] = gmat
-        _require_order(gmat, target, "G")
+    if gpiece is not None:
+        state.G[target] = gpiece
+        _require_order(ring, gpiece, target, "G")
         for a, row in zip(part, vg):
             add_into(a, row)
         for k in range(state.d):
-            p = gmat[k, 0]
-            if not p.is_zero() and k not in state.lg:
+            fd = gpiece[k][0]
+            if fd and k not in state.lg:
                 state.lg[k] = target
-                state.lg_poly[k] = p
+                state.lg_poly[k] = fd
                 state.gbt = None
     if c_new:
         per_order = {}
         for (pos, k), fd in c_new.items():
             if fd:
                 o = target - state.lg[k]
-                per_order.setdefault(o, {})[(pos, k)] = Polynomial(ring, fd)
+                per_order.setdefault(o, {})[(pos, k)] = fd
         for o, entries in per_order.items():
-            addition = PolyMatrix.zero(ring, l, state.d)
-            rows = [list(r) for r in addition.entries]
-            for (pos, k), p in entries.items():
-                rows[pos][k] = p
-            addition = PolyMatrix(ring, rows)
-            _require_order(addition, o, "C")
+            addition = [[{} for _ in range(state.d)] for _ in range(l)]
+            for (pos, k), fd in entries.items():
+                addition[pos][k] = fd
+            _require_order(ring, addition, o, "C")
             # the addition sits in the columns of G rows whose lowest piece
             # has order target - o, so this is its only product of order target
             _cg_into(part, addition, state.G[target - o])
             have = state.C.get(o)
-            state.C[o] = addition if have is None else have + addition
+            if have is None:
+                state.C[o] = addition
+            else:
+                for hrow, arow in zip(have, addition):
+                    for hd, ad in zip(hrow, arow):
+                        add_into(hd, ad)
 
     state.order = target
     if any(part):
@@ -583,10 +601,11 @@ def versal_deformation(F0, t1=None, t2=None, degree=None, max_order=20,
     else:
         R1 = PolyMatrix.zero(St, m, 0)
 
+    Vs = t2.vectors.promote(St)
     state = _LiftState(St, m, l, d)
-    state.F = [F0s, F1]
-    state.R = [R0s, R1]
-    state.V = t2.vectors.promote(St)
+    state.F = [_words(F0s), _words(F1)]
+    state.R = [_words(R0s), _words(R1)]
+    state.V = _words(Vs)
     state.C = {0: state.V}
     state.order = 1
     if l:
@@ -594,10 +613,10 @@ def versal_deformation(F0, t1=None, t2=None, degree=None, max_order=20,
         state.xbasis = _XBasis(gb0)
         if d:
             state.vhat_lookup, state.vhat_rows, state.vhat_T = \
-                _echelon_obstructions(state.V, gb0)
+                _echelon_obstructions(Vs, gb0)
 
-    _require_order(F1, 1, "F")
-    _require_order(R1, 1, "R")
+    _require_order(St, state.F[1], 1, "F")
+    _require_order(St, state.R[1], 1, "R")
     bad = _identity_defect(state, 0)
     if bad is not None and bad <= 1:
         raise LiftError("first-order family fails its own relations")
@@ -615,6 +634,13 @@ def versal_deformation(F0, t1=None, t2=None, degree=None, max_order=20,
                 emit(MSG_POLYNOMIAL)
                 break
 
+    # orders 0 and 1 keep the matrices they were packed from, with their
+    # degrees; G pieces carry V's column degrees as their row degrees
+    rdeg = Vs.col_degrees
+    cdeg = ((0,) * St.grading_rank,) if rdeg is not None else None
+    F = [F0s, F1] + [_matrix(St, p) for p in state.F[2:]]
+    R = [R0s, R1] + [_matrix(St, p) for p in state.R[2:]]
+    G = {o: _matrix(St, p, rdeg, cdeg) for o, p in state.G.items()}
+    C = {o: Vs if o == 0 else _matrix(St, p) for o, p in state.C.items()}
     return DeformationResult(
-        St, params, t1, t2, state.F, state.R, state.G, state.C,
-        polynomial, state.order, log)
+        St, params, t1, t2, F, R, G, C, polynomial, state.order, log)

@@ -1,8 +1,11 @@
 """Gröbner machinery for submodules of free modules over the two-block ring.
 
 The engine works on integer-scaled sparse vectors ("ivecs": dicts mapping
-(position, monomial) to int) under a term-over-position order extending the
-ring's monomial order.  Every input column enters through one path
+a term (position, word) to int, the word a packed monomial of
+`polyring`) under a term-over-position order extending the ring's
+monomial order.  Monomials are packed once, when a column enters, and
+unpacked once, when a result leaves; in between a product of monomials is
+an addition of words.  Every input column enters through one path
 (`_Engine.add_column`, which clears denominators and records the column's
 unit expression), and every module reduction -- of S-pairs, of tails during
 interreduction, of normal forms, and of the lift's series columns in
@@ -31,19 +34,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import product
 from math import gcd
 
 from .errors import FiniteDimError, GradingError, LiftError, VersalError
 from .exactla import echelon_insert, integer_row
-from .polyring import (
-    Polynomial,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    mul_into,
-    ratio,
-)
+from .polyring import Polynomial, mul_into, ratio
 
 # ---------------------------------------------------------------------------
 # free module elements and matrices
@@ -306,11 +302,11 @@ def _ivec_content(vec):
 
 
 class _TermQueue:
-    """A term dict ``{(pos, mono): coeff}`` taken largest term first.
+    """A term dict ``{(pos, word): coeff}`` taken largest term first.
 
-    Terms sit in a heap under a descending term key (the least key belongs
-    to the largest term), computed once per push rather than once per
-    comparison as max() over a dict would.  `coeffs` holds the live
+    Terms sit in a heap under a descending int term key (the least key
+    belongs to the largest term), computed once per push rather than once
+    per comparison as max() over a dict would.  `coeffs` holds the live
     coefficients; callers may scale them in place.  A term whose
     coefficient cancels stays in the heap and is skipped when it surfaces.
     This lazy deletion is sound because callers only add terms below the
@@ -352,11 +348,16 @@ class _TermQueue:
 
 
 class _Element:
-    __slots__ = ("vec", "lt", "lc", "conc", "rep")
+    """A basis element: its ivec, leading term, the exponent word of the
+    leading monomial (for divisibility tests), leading coefficient, the
+    position it is concentrated in (or None) and its expression."""
 
-    def __init__(self, vec, lt, lc, conc, rep):
+    __slots__ = ("vec", "lt", "lexp", "lc", "conc", "rep")
+
+    def __init__(self, vec, lt, lexp, lc, conc, rep):
         self.vec = vec
         self.lt = lt
+        self.lexp = lexp
         self.lc = lc
         self.conc = conc
         self.rep = rep
@@ -365,11 +366,15 @@ class _Element:
 class _Engine:
     """Buchberger completion over ivecs with optional bookkeeping.
 
+    Terms are (position, word) and expressions ``{input: {word: coeff}}``.
     Every input column enters through `add_column`, and every reduction
     (S-pairs, interreduction, normal forms, and the lift's reductions
     through `deformation._XBasis`) goes through `reduce_full`: one
     fraction-free loop that takes terms largest first from a `_TermQueue`
-    under `desc_key`, the descending form of `key`.  Options:
+    under `desc_key`, an int that is least for the largest term.  Every
+    term queued there, every element added to the basis and every
+    expression formed by `_combine_rep` is checked for monomial overflow.
+    Options:
 
     * track: keep each element's expression (`rep`) in the inputs;
     * record_syzygies: also record syzygies of the inputs; implies track and
@@ -392,40 +397,36 @@ class _Engine:
         self.done = set()
         self.syzygies = []
         self.n_inputs = 0
-        mk = ring.monomial_key
-        desc = ring.descending_key
+        # desc_key(term) = pos_key[pos] - (word << shift): larger words
+        # first, then lower positions; positions below `eliminate` sit a
+        # whole word range lower, so they rank above all others
+        shift = rank.bit_length()
+        block = 1 << ring.word_bits + shift
+        pos_key = [pos - block if eliminate is not None and pos < eliminate
+                   else pos for pos in range(rank)]
+        overflow = ring.overflow_mask
 
-        if eliminate is None:
-            def key(term):
-                return (mk(term[1]), -term[0])
+        def desc_key(term):
+            pos, word = term
+            if word & overflow:
+                raise ring.overflow_error()
+            return pos_key[pos] - (word << shift)
 
-            def desc_key(term):
-                return (desc(term[1]), term[0])
-        else:
-            # positions < eliminate rank above all others; term-over-position
-            # inside each block
-            def key(term):
-                return (term[0] < eliminate, mk(term[1]), -term[0])
-
-            def desc_key(term):
-                return (term[0] >= eliminate, desc(term[1]), term[0])
-
-        self.key = key
         self.desc_key = desc_key
 
     # -- element bookkeeping -------------------------------------------
 
     def _analyze(self, vec):
-        key = self.key
-        lt = max(vec, key=key)
+        """(lt, lexp, lc, conc) of a nonzero ivec, checking every word."""
+        lt = min(vec, key=self.desc_key)
         lc = vec[lt]
         positions = {t[0] for t in vec}
         conc = lt[0] if len(positions) == 1 else None
-        return lt, lc, conc
+        return lt, self.ring.exponents(lt[1]), lc, conc
 
     def _normalize(self, vec, rep):
         c = _ivec_content(vec)
-        lt = max(vec, key=self.key)
+        lt = min(vec, key=self.desc_key)
         if vec[lt] < 0:
             c = -c
         if c != 1:
@@ -441,11 +442,11 @@ class _Engine:
         Its ivec is den * col (den clears the denominators), so its
         expression is den times its unit vector.
         """
-        vec, den = _column_to_ivec(col)
+        vec, den = _column_to_ivec(self.ring, col)
         idx = self.n_inputs
         self.n_inputs += 1
         kept = self.rep_window is None or idx < self.rep_window
-        unit = {idx: {self.ring.zero_mono(): den}} if kept else {}
+        unit = {idx: {0: den}} if kept else {}  # 0 is the word of 1
         if not vec:
             if self.record_syzygies and kept:
                 self.syzygies.append(unit)
@@ -453,8 +454,8 @@ class _Engine:
         self._append(*self._normalize(vec, unit if self.track else None))
 
     def _append(self, vec, rep):
-        lt, lc, conc = self._analyze(vec)
-        el = _Element(vec, lt, lc, conc, rep)
+        el = _Element(vec, *self._analyze(vec), rep)
+        lt = el.lt
         idx = len(self.basis)
         self.basis.append(el)
         peers = self.by_pos.setdefault(lt[0], [])
@@ -469,15 +470,14 @@ class _Engine:
         ei, ej = self.basis[i], self.basis[j]
         pos = ei.lt[0]
         mi, mj = ei.lt[1], ej.lt[1]
-        if ei.conc is not None and ej.conc is not None and \
-                all(a == 0 or b == 0 for a, b in zip(mi, mj)):
-            # product criterion (concentrated elements only)
+        lcm = self.ring.lcm(mi, mj)
+        if ei.conc is not None and ej.conc is not None and lcm == mi + mj:
+            # product criterion (concentrated elements only): coprime leads
             self.done.add((i, j))
             if self.record_syzygies:
                 self._record_koszul(i, j)
             return
-        lcm_mono = mono_lcm(mi, mj)
-        sortkey = (sum(lcm_mono), self.key((pos, lcm_mono)), i, j)
+        sortkey = (self.ring.degree(lcm), -self.desc_key((pos, lcm)), i, j)
         heappush(self.heap, (sortkey, i, j))
 
     def _record_koszul(self, i, j):
@@ -495,14 +495,16 @@ class _Engine:
         if out:
             self.syzygies.append(out)
 
-    def _chain_skip(self, i, j, lcm_mono, pos):
+    def _chain_skip(self, i, j, lcm, pos):
         # off when recording syzygies: every S-pair reduction is needed then
         if self.record_syzygies:
             return False
+        e = self.ring.exponents(lcm)
+        dm = self.ring.div_mask
         for k in self.by_pos.get(pos, ()):
             if k == i or k == j:
                 continue
-            if mono_divides(self.basis[k].lt[1], lcm_mono):
+            if not (e - self.basis[k].lexp) & dm:
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a in self.done and b in self.done:
@@ -512,10 +514,15 @@ class _Engine:
     # -- reduction ------------------------------------------------------
 
     def find_reducer(self, term):
-        pos, mono = term
-        for idx in self.by_pos.get(pos, ()):
-            if mono_divides(self.basis[idx].lt[1], mono):
-                return idx
+        pos, word = term
+        leads = self.by_pos.get(pos)
+        if leads:
+            e = self.ring.exponents(word)
+            dm = self.ring.div_mask
+            basis = self.basis
+            for idx in leads:
+                if not (e - basis[idx].lexp) & dm:
+                    return idx
         return None
 
     def reduce_full(self, vec, track=False):
@@ -536,7 +543,7 @@ class _Engine:
                 continue
             g = self.basis[red]
             a = g.lc
-            delta = mono_div(t[1], g.lt[1])
+            delta = t[1] - g.lt[1]
             if a != 1:
                 for k in work:
                     work[k] *= a
@@ -550,7 +557,7 @@ class _Engine:
             glt = g.lt
             for (p2, m2), c2 in g.vec.items():
                 if (p2, m2) != glt:
-                    add((p2, mono_mul(m2, delta)), -c * c2)
+                    add((p2, m2 + delta), -c * c2)
             if track:
                 d = cofs.setdefault(red, {})
                 s = d.get(delta, 0) + c
@@ -591,18 +598,18 @@ class _Engine:
 
     def spoly(self, i, j):
         ei, ej = self.basis[i], self.basis[j]
-        lcm_mono = mono_lcm(ei.lt[1], ej.lt[1])
-        d1 = mono_div(lcm_mono, ei.lt[1])
-        d2 = mono_div(lcm_mono, ej.lt[1])
+        lcm = self.ring.lcm(ei.lt[1], ej.lt[1])
+        d1 = lcm - ei.lt[1]
+        d2 = lcm - ej.lt[1]
         a1, a2 = ei.lc, ej.lc
         g = gcd(a1, a2)
         c1, c2 = a2 // g, a1 // g
         vec = {}
         for (p, m), c in ei.vec.items():
-            t = (p, mono_mul(m, d1))
+            t = (p, m + d1)
             vec[t] = vec.get(t, 0) + c1 * c
         for (p, m), c in ej.vec.items():
-            t = (p, mono_mul(m, d2))
+            t = (p, m + d2)
             s = vec.get(t, 0) - c2 * c
             if s:
                 vec[t] = s
@@ -628,6 +635,9 @@ class _Engine:
         for k, ipoly in cofs.items():
             for idx, fp in (self.basis[k].rep or {}).items():
                 mul_into(out.setdefault(idx, {}), ipoly, fp, sign)
+        overflow = self.ring.overflow_mask
+        if any(w & overflow for fp in out.values() for w in fp):
+            raise self.ring.overflow_error()
         return {idx: fp for idx, fp in out.items() if fp}
 
     def complete(self):
@@ -637,8 +647,8 @@ class _Engine:
             if pair in self.done:
                 continue
             ei, ej = self.basis[i], self.basis[j]
-            lcm_mono = mono_lcm(ei.lt[1], ej.lt[1])
-            if self._chain_skip(i, j, lcm_mono, ei.lt[0]):
+            lcm = self.ring.lcm(ei.lt[1], ej.lt[1])
+            if self._chain_skip(i, j, lcm, ei.lt[0]):
                 self.done.add(pair)
                 continue
             self.done.add(pair)
@@ -667,7 +677,7 @@ class _Engine:
 
 
 def _terms_to_ivec(terms):
-    """{(pos, mono): coeff} -> (ivec, multiplier) with
+    """{(pos, word): coeff} -> (ivec, multiplier) with
     ivec = multiplier * terms; the coefficients are exact rationals: `int`
     when integral, else `Fraction`."""
     den = 1
@@ -678,23 +688,24 @@ def _terms_to_ivec(terms):
     return vec, den
 
 
-def _column_to_ivec(column):
+def _column_to_ivec(ring, column):
     """list[Polynomial] -> (ivec, multiplier) with ivec = multiplier * column."""
-    return _terms_to_ivec({(pos, mono): c for pos, p in enumerate(column)
+    pack = ring.pack
+    return _terms_to_ivec({(pos, pack(mono)): c for pos, p in enumerate(column)
                            for mono, c in p.terms_dict.items()})
 
 
 def _ivec_to_polys(vec, ring, rank, scale=1):
     comps = [dict() for _ in range(rank)]
-    for (pos, mono), c in vec.items():
-        comps[pos][mono] = ratio(c, scale)
+    unpack = ring.unpack
+    for (pos, word), c in vec.items():
+        comps[pos][unpack(word)] = ratio(c, scale)
     return [Polynomial(ring, d) for d in comps]
 
 
 def _cofactor_polys(ring, cofs, count, divisor):
     """Cofactors of inputs 0 .. count-1 as polynomials, divided by `divisor`."""
-    return [Polynomial(ring, {m: ratio(c, divisor)
-                              for m, c in cofs.get(i, {}).items()})
+    return [Polynomial.from_words(ring, cofs.get(i, {}), divisor)
             for i in range(count)]
 
 
@@ -747,7 +758,9 @@ class GroebnerBasis:
         return iter(self.elements)
 
     def leading_terms(self):
-        return [el.lt for el in self._engine.basis]
+        unpack = self.ring.unpack
+        return [(pos, unpack(word)) for pos, word in
+                (el.lt for el in self._engine.basis)]
 
     def polynomials(self):
         """Rank-1 convenience: the basis as plain polynomials."""
@@ -768,8 +781,7 @@ class GroebnerBasis:
         for el in self._engine.basis:
             cofs = {}
             for idx, fp in (el.rep or {}).items():
-                poly = Polynomial(self.ring,
-                                  {m: ratio(c, el.lc) for m, c in fp.items()})
+                poly = Polynomial.from_words(self.ring, fp, el.lc)
                 if not poly.is_zero():
                     cofs[idx] = poly
             out.append(cofs)
@@ -785,7 +797,7 @@ class GroebnerBasis:
             column = list(x)
         if len(column) != self.rank:
             raise VersalError("rank mismatch in normal form")
-        vec, den = _column_to_ivec(column)
+        vec, den = _column_to_ivec(self.ring, column)
         if with_cofactors:
             if not self.tracked:
                 raise VersalError("basis was not built with track=True")
@@ -843,20 +855,9 @@ class GroebnerBasis:
                     if m[v] and all(e == 0 for i, e in enumerate(m) if i != v)
                 )
                 bounds.append(b)
-            current = [0] * nvars
-
-            def rec(v):
-                if v == nvars:
-                    mono = tuple(current)
-                    if not any(mono_divides(m, mono) for m in pos_lts):
-                        out.append((pos, mono))
-                    return
-                for e in range(bounds[v]):
-                    current[v] = e
-                    rec(v + 1)
-                current[v] = 0
-
-            rec(0)
+            box = product(*(range(b) for b in bounds))
+            lexps = [el.lexp for el in self._engine.basis if el.lt[0] == pos]
+            out.extend((pos, m) for m in _outside_leads(self.ring, lexps, box))
         key = self.ring.monomial_key
         out.sort(key=lambda t: (t[0], key(t[1])))
         return out
@@ -883,14 +884,17 @@ def buchberger(gens, *, track=False, row_degrees=None):
 def _interreduce(engine):
     """Make the basis minimal and tail-reduced, preserving bookkeeping."""
     # drop elements whose lead is divisible by another's lead
-    order = sorted(range(len(engine.basis)), key=lambda i: engine.key(engine.basis[i].lt))
+    desc_key = engine.desc_key
+    dm = engine.ring.div_mask
+    order = sorted(range(len(engine.basis)),
+                   key=lambda i: desc_key(engine.basis[i].lt), reverse=True)
     keep = []
     for i in order:
-        lt = engine.basis[i].lt
+        el = engine.basis[i]
         redundant = False
         for j in keep:
-            jl = engine.basis[j].lt
-            if jl[0] == lt[0] and mono_divides(jl[1], lt[1]):
+            ej = engine.basis[j]
+            if ej.lt[0] == el.lt[0] and not (el.lexp - ej.lexp) & dm:
                 redundant = True
                 break
         if not redundant:
@@ -914,7 +918,8 @@ def _interreduce(engine):
             vec, rep = engine._normalize(vec, rep)
             engine.basis[idx] = _Element(vec, *engine._analyze(vec), rep)
     # canonical ordering
-    order = sorted(range(len(engine.basis)), key=lambda i: engine.key(engine.basis[i].lt))
+    order = sorted(range(len(engine.basis)),
+                   key=lambda i: desc_key(engine.basis[i].lt), reverse=True)
     engine.basis = [engine.basis[i] for i in order]
     engine.by_pos = {}
     for idx, el in enumerate(engine.basis):
@@ -970,7 +975,8 @@ def _syzygy_columns(F, rep_window=None):
         engine.add_column(col)
     engine.complete()
     width = F.cols if rep_window is None else min(rep_window, F.cols)
-    columns = [[Polynomial(ring, syz.get(i, {})) for i in range(width)]
+    columns = [[Polynomial.from_words(ring, syz.get(i, {}))
+                for i in range(width)]
                for syz in engine.syzygies]
     columns = [c for c in columns if any(not p.is_zero() for p in c)]
     return _normalize_columns(ring, columns)
@@ -1098,7 +1104,7 @@ def _column_sort_key(ring, col):
         k = (key(lt[0]), -pos)
         if best is None or k > best:
             best = k
-    return best or ((0, (), 0, ()), 0)
+    return best or (0, 0)
 
 
 def _normalize_columns(ring, columns):
@@ -1151,6 +1157,8 @@ def _minimal_columns_graded(ring, columns, row_degs, col_degs):
     for i in order:
         by_degree.setdefault(col_degs[i], []).append(i)
     degrees = sorted(by_degree, key=lambda d: (sum(d), d))
+    pack = ring.pack
+    packed = [[p.words() for p in col] for col in columns]
     for d in degrees:
         label_index = {}
         for pos, rd in enumerate(row_degs):
@@ -1158,17 +1166,15 @@ def _minimal_columns_graded(ring, columns, row_degs, col_degs):
             if any(c < 0 for c in target):
                 continue
             for mono in monomials_of_degree(ring, target):
-                label_index[(pos, mono)] = len(label_index)
+                label_index[(pos, pack(mono))] = len(label_index)
 
-        def coords(col, shift=None):
-            # coordinates of col, times the monomial `shift` if given; None
-            # when a term lies outside this degree
+        def coords(i, shift=0):
+            # coordinates of column i times the monomial of word `shift`;
+            # None when a term lies outside this degree
             v = {}
-            for pos, p in enumerate(col):
-                for mono, c in p.terms_dict.items():
-                    if shift is not None:
-                        mono = mono_mul(shift, mono)
-                    idx = label_index.get((pos, mono))
+            for pos, fd in enumerate(packed[i]):
+                for w, c in fd.items():
+                    idx = label_index.get((pos, w + shift))
                     if idx is None:
                         return None
                     v[idx] = c
@@ -1180,11 +1186,11 @@ def _minimal_columns_graded(ring, columns, row_degs, col_degs):
             if any(c < 0 for c in diff):
                 continue
             for mono in monomials_of_degree(ring, diff):
-                v = coords(columns[k_idx], mono)
+                v = coords(k_idx, pack(mono))
                 if v is not None:
                     echelon_insert(echelon, v)
         for i in by_degree[d]:
-            v = coords(columns[i])
+            v = coords(i)
             if v is None or echelon_insert(echelon, v):
                 kept.append(i)
                 kept_degs.append(col_degs[i])
@@ -1262,7 +1268,7 @@ def module_quotient_lift(A, B, J=None):
 
     x_cols = []
     for col in B.columns():
-        vec, den = _column_to_ivec(col)
+        vec, den = _column_to_ivec(ring, col)
         h, cofs, scale = engine.nf_with_input_cofactors(vec)
         if h:
             return None
@@ -1341,13 +1347,24 @@ def monomials_of_degree(ring, d):
     return out
 
 
+def _outside_leads(ring, lexps, monos):
+    """The exponent tuples among `monos` that no monomial of exponent word
+    in `lexps` divides."""
+    exponents, pack, dm = ring.exponents, ring.pack, ring.div_mask
+    out = []
+    for m in monos:
+        e = exponents(pack(m))
+        if all((e - le) & dm for le in lexps):
+            out.append(m)
+    return out
+
+
 def standard_monomials(gb, d):
     """Monomials of multidegree d outside the leading-term ideal of gb."""
     if gb.rank != 1:
         raise VersalError("standard_monomials expects an ideal basis")
-    lts = [m for _, m in gb.leading_terms()]
-    return [m for m in monomials_of_degree(gb.ring, d)
-            if not any(mono_divides(l, m) for l in lts)]
+    return _outside_leads(gb.ring, [el.lexp for el in gb._engine.basis],
+                          monomials_of_degree(gb.ring, d))
 
 
 def hilbert_function(ideal, d):

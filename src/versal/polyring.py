@@ -11,17 +11,52 @@ the deformation module.
 Coefficients are exact rationals: `int` when integral, else `Fraction`.
 Every division of a coefficient goes through `ratio`, so none is ever a
 `float`.
+
+A `Polynomial` keys its terms by exponent tuples.  The Gröbner engine and
+the lift key theirs by packed monomials instead: one int per monomial, its
+*word*, made by `RingSpec.pack` and read back by `RingSpec.unpack`.  This
+module is the only one that knows the layout of a word:
+
+* It has one field of `FIELD_BITS` bits per variable.  For each block, x
+  first in the high bits, then t, it holds the block's total degree and
+  then the prefix sums x1+...+x(n-1), ..., x1+x2, x1, high to low.  So the
+  integer order of words is the monomial order, the word of a product is
+  the sum of the words, and a quotient is their difference.  The word of
+  the monomial 1 is 0.
+* Masking splits a word into its x-part and its t-part (`RingSpec.split`).
+* Divisibility needs the exponents themselves: `RingSpec.exponents` turns a
+  word into an exponent word with the same fields holding x1, ..., xn and
+  t1, ..., tm.  The top bit of each field is a guard, so a | b exactly when
+  ``not (exponents(b) - exponents(a)) & div_mask``.
+* A word is valid while each block's total degree stays below
+  `DEGREE_LIMIT` = 2^(FIELD_BITS - 1); then no field can carry into the
+  next, neither in a product of two valid words nor in the exponent word.
+  `pack` raises `VersalError` on a monomial past that bound, and so does a
+  product that crosses it where it is checked: `overflow_mask` is the guard
+  bit of each block's total-degree field.  The engine checks each term it
+  queues and each expression it forms, and the lift each piece it stores,
+  so a word that overflows is never multiplied again and never wraps
+  silently.
+
+Every ring uses 16-bit fields, so a word of n variables has 16n bits.
+Degrees near 2^15 are far beyond what a Gröbner computation here finishes
+in, and a wider field makes every addition, hash and comparison of words
+slower.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
 from operator import add, le, sub
 
-from .errors import GradingError, ParseError, RingMismatchError
+from .errors import GradingError, ParseError, RingMismatchError, VersalError
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+
+FIELD_BITS = 16
+DEGREE_LIMIT = 1 << FIELD_BITS - 1
 
 
 class RingSpec:
@@ -33,7 +68,10 @@ class RingSpec:
     """
 
     __slots__ = ("x_vars", "t_vars", "x_degrees", "t_degrees", "_index",
-                 "_key_memo", "_degree_memo")
+                 "_degree_memo", "_nx", "_struct", "_x_mask", "_t_mask",
+                 "_x_low", "_x_bits", "_t_bits", "_x_ones", "_t_ones",
+                 "_keep", "_x_shift", "_t_shift", "word_bits", "div_mask",
+                 "overflow_mask")
 
     def __init__(self, x_vars, t_vars=(), x_degrees=None, t_degrees=None):
         self.x_vars = tuple(x_vars)
@@ -64,8 +102,8 @@ class RingSpec:
                     raise GradingError(
                         "variable %s has non-positive degree %r" % (v, d))
         self._index = {n: i for i, n in enumerate(names)}
-        self._key_memo = {}
         self._degree_memo = {}
+        self._init_codec()
 
     # -- basic shape ----------------------------------------------------
 
@@ -141,27 +179,93 @@ class RingSpec:
                     total[i] += e * d[i]
         return tuple(total)
 
-    def monomial_key(self, mono):
-        """Sort key: grevlex on the x-block, refined by grevlex on the t-block."""
-        key = self._key_memo.get(mono)
-        if key is None:
-            nx = self.nx
-            xm, tm = mono[:nx], mono[nx:]
-            key = (
-                sum(xm),
-                tuple(-e for e in reversed(xm)),
-                sum(tm),
-                tuple(-e for e in reversed(tm)),
-            )
-            if len(self._key_memo) < 1_000_000:
-                self._key_memo[mono] = key
-        return key
+    # -- packed monomials (layout in the module docstring) --------------
 
-    def descending_key(self, mono):
-        """Sort key for largest first: monomial_key negated componentwise."""
-        nx = self.nx
-        xm, tm = mono[:nx], mono[nx:]
-        return (-sum(xm), xm[::-1], -sum(tm), tm[::-1])
+    def _init_codec(self):
+        w = FIELD_BITS
+        nx, nt = self.nx, self.nt
+        n = nx + nt
+        field = (1 << w) - 1
+        full = (1 << n * w) - 1
+        self._nx = nx
+        self.word_bits = n * w
+        self._struct = struct.Struct("<%dH" % n)
+        self._t_mask = (1 << nt * w) - 1
+        self._x_mask = full ^ self._t_mask
+        self._x_low = (1 << nx * w) - 1
+        self._x_bits, self._t_bits = nx * w, nt * w
+        self._t_ones = sum(1 << k * w for k in range(nt))
+        self._x_ones = sum(1 << k * w for k in range(nx))
+        # fields that take the prefix sum below them in `exponents`: all but
+        # the lowest field of each block
+        self._keep = full & ~(field << nt * w)
+        self._t_shift = (nt - 1) * w if nt else 0
+        self._x_shift = (n - 1) * w if nx else n * w
+        self.div_mask = sum(1 << k * w + w - 1 for k in range(n))
+        self.overflow_mask = ((1 << n * w - 1 if nx else 0)
+                              | (1 << nt * w - 1 if nt else 0))
+
+    def overflow_error(self):
+        """The error for a monomial whose word cannot hold it."""
+        return VersalError(
+            "monomial overflow in %r: the total degree of a variable block "
+            "reached %d, which a packed monomial cannot hold"
+            % (self, DEGREE_LIMIT))
+
+    def _from_exponents(self, e):
+        # multiplying a block by ones puts in each field the sum of the
+        # fields up to it
+        xm, tm = self._x_mask, self._t_mask
+        return (e & xm) * self._x_ones & xm | (e & tm) * self._t_ones & tm
+
+    def pack(self, mono):
+        """The word of an exponent tuple; VersalError when it overflows."""
+        if sum(mono) >= DEGREE_LIMIT:
+            nx = self._nx
+            if sum(mono[:nx]) >= DEGREE_LIMIT or sum(mono[nx:]) >= DEGREE_LIMIT:
+                raise self.overflow_error()
+        # the exponents in tuple order, so the x-block in the low fields;
+        # the prefix sums of each block then move to its place in the word
+        e = int.from_bytes(self._struct.pack(*mono), "little")
+        xl = self._x_low
+        return ((e & xl) * self._x_ones & xl) << self._t_bits \
+            | (e >> self._x_bits) * self._t_ones & self._t_mask
+
+    def unpack(self, word):
+        """The exponent tuple of a word; VersalError when it overflowed."""
+        if word & self.overflow_mask:
+            raise self.overflow_error()
+        e = self.exponents(word)
+        e = e >> self._t_bits | (e & self._t_mask) << self._x_bits
+        return self._struct.unpack(e.to_bytes(self._struct.size, "little"))
+
+    # sort key for exponent tuples: the word, whose integer order is the
+    # monomial order
+    monomial_key = pack
+
+    def exponents(self, word):
+        """The exponent word of a valid word, for divisibility tests."""
+        return word - ((word << FIELD_BITS) & self._keep)
+
+    def lcm(self, a, b):
+        """The word of the least common multiple of two words."""
+        ea, eb = self.exponents(a), self.exponents(b)
+        g = self.div_mask
+        ge = ((ea | g) - eb) & g          # guard set where ea >= eb
+        fill = ge - (ge >> FIELD_BITS - 1)  # those fields all ones
+        return self._from_exponents(eb ^ ((ea ^ eb) & fill))
+
+    def split(self, word):
+        """(x-part, t-part) of a word, each the word of a monomial."""
+        return word & self._x_mask, word & self._t_mask
+
+    def t_degree(self, word):
+        """Total degree of a word's t-part."""
+        return (word & self._t_mask) >> self._t_shift
+
+    def degree(self, word):
+        """Total degree of a word over both blocks."""
+        return (word >> self._x_shift) + ((word & self._t_mask) >> self._t_shift)
 
 
 def mono_mul(a, b):
@@ -176,10 +280,6 @@ def mono_divides(a, b):
 def mono_div(a, b):
     """a / b, assuming b divides a."""
     return tuple(map(sub, a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(map(max, a, b))
 
 
 def ratio(a, b):
@@ -204,12 +304,12 @@ def _exact(c):
 
 
 def mul_into(acc, a, b, sign=1):
-    """acc += sign * a * b for monomial dicts whose coefficients are exact
-    rationals: `int` when integral, else `Fraction`."""
+    """acc += sign * a * b for term dicts keyed by words, whose coefficients
+    are exact rationals: `int` when integral, else `Fraction`."""
     for m1, c1 in a.items():
         c1 = sign * c1
         for m2, c2 in b.items():
-            mm = mono_mul(m1, m2)
+            mm = m1 + m2
             v = acc.get(mm, 0) + c1 * c2
             if v:
                 acc[mm] = v
@@ -271,6 +371,21 @@ class Polynomial:
     def from_monomial(cls, ring, mono, coeff=1):
         return cls(ring, {tuple(mono): coeff})
 
+    @classmethod
+    def from_words(cls, ring, words, divisor=1):
+        """The polynomial of a term dict ``{word: coeff}``, divided through
+        by `divisor` with `ratio`."""
+        unpack = ring.unpack
+        if divisor == 1:
+            return cls(ring, {unpack(w): c for w, c in words.items()})
+        return cls(ring, {unpack(w): ratio(c, divisor)
+                          for w, c in words.items()})
+
+    def words(self):
+        """The terms as a new dict ``{word: coeff}``."""
+        pack = self.ring.pack
+        return {pack(m): c for m, c in self._terms.items()}
+
     # -- inspection -----------------------------------------------------
 
     def is_zero(self):
@@ -321,15 +436,6 @@ class Polynomial:
             return None
         nx = self.ring.nx
         return max(sum(m[nx:]) for m in self._terms)
-
-    def is_t_homogeneous(self, order=None):
-        if not self._terms:
-            return True
-        nx = self.ring.nx
-        orders = {sum(m[nx:]) for m in self._terms}
-        if len(orders) > 1:
-            return False
-        return order is None or orders == {order}
 
     def multi_degree(self):
         """Common multidegree of all terms, or None if not homogeneous."""

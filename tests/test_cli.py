@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from versal import groebner
 from versal.cli import main
+from versal.polyring import DEGREE_LIMIT
 
 CONE = """\
 # cone over the rational normal curve of degree four
@@ -184,6 +186,24 @@ def test_deform_json_golden_digest(args, digest, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args, digest", [
+    (["deform", "demos/data/quartic_cone.vdef"],
+     "ad789786536d51edfe2423f24a74e8c685a92cea5572ef5bcdd9c04d2b8ceebe"),
+    (["deform", "demos/data/diagonal_p2cubed.vdef", "--degree", "0,0,0"],
+     "fec8ca5604df68e39749019ab23e3fa1fe6e5040b3cb9cd4a3c4bd2af95864fd"),
+    (["deform", "perfbench/nonclosing.vdef", "--degree", "0",
+      "--max-order", "10"],
+     "05c34efcd6ad1f1c3e197774f3c22cfadc7cad8bedc0dc0a950ce4e5a8762877"),
+], ids=["cone", "diagonal", "nonclosing"])
+def test_deform_text_golden_digest(args, digest, capsys):
+    # the text form is built apart from the --json document, so it is
+    # pinned on its own
+    command, path, *rest = args
+    assert main([command, str(ROOT / path), *rest]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # -- verbosity and output redirection ---------------------------------------
 
 def test_deform_verbose_log_lines(cone_file, capsys):
@@ -286,6 +306,26 @@ def test_computation_error_exits_one(tmp_path, capsys):
     path.write_text("ring: QQ\nvars: x y\ngenerators:\n    x^2*y^2\n")
     assert main(["t1", str(path)]) == 1
     assert capsys.readouterr().err.startswith("versal: error:")
+
+
+def test_monomial_overflow_exits_one(tmp_path, capsys, monkeypatch):
+    # an exponent a packed monomial cannot hold is a typed error, raised
+    # when the first column is packed, before any S-pair is formed
+    path = tmp_path / "overflow.vdef"
+    path.write_text("ring: QQ\nvars: x y\ngenerators:\n    x^%d + y^2\n"
+                    "    y^3\n" % DEGREE_LIMIT)
+    spoly = groebner._Engine.spoly
+    pairs = []
+
+    def counted(self, i, j):
+        pairs.append((i, j))
+        return spoly(self, i, j)
+
+    monkeypatch.setattr(groebner._Engine, "spoly", counted)
+    assert main(["deform", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("versal: error:") and "overflow" in err
+    assert pairs == []
 
 
 def test_missing_required_degree_flag(cone_file):

@@ -7,6 +7,7 @@ sizes against the central fibre.
 """
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +39,7 @@ from versal.deformation import (
     MSG_POLYNOMIAL,
     MSG_RELATIONS,
 )
-from versal.polyring import mono_div, mono_divides, mono_mul
+from versal.polyring import DEGREE_LIMIT, mono_div, mono_divides, mono_mul
 
 DIAGONAL_FILE = (Path(__file__).resolve().parents[1]
                  / "demos" / "data" / "diagonal_p2cubed.vdef")
@@ -278,8 +279,9 @@ def test_nonclosing_identity_holds_through_cut_order():
 
 def corrupt_first_cofactor(monkeypatch, change):
     """Lift the non-closing ideal with the first generator's cofactor in the
-    tracked reduction replaced by change(cofactor); returns the order at
-    which that cofactor was first nonzero and the LiftError message."""
+    tracked reduction, a term dict keyed by words, replaced by
+    change(ring, cofactor); returns the order at which that cofactor was
+    first nonzero and the LiftError message."""
     real = deformation._XBasis.reduce
     used = []
 
@@ -287,7 +289,7 @@ def corrupt_first_cofactor(monkeypatch, change):
         nf, cofs = real(self, col)
         used.append(0 in cofs)
         if 0 in cofs:
-            cofs[0] = change(cofs[0])
+            cofs[0] = change(self.engine.ring, cofs[0])
         return nf, cofs
 
     monkeypatch.setattr(deformation._XBasis, "reduce", corrupted)
@@ -301,15 +303,15 @@ def corrupt_first_cofactor(monkeypatch, change):
 
 def test_wrong_cofactor_is_caught(monkeypatch):
     order, message = corrupt_first_cofactor(
-        monkeypatch, lambda fd: {m: 2 * c for m, c in fd.items()})
+        monkeypatch, lambda ring, fd: {m: 2 * c for m, c in fd.items()})
     assert message == "lifting identity fails through order %d" % order
 
 
 def test_piece_of_mixed_order_is_caught(monkeypatch):
-    def add_higher_term(fd):
-        m = min(fd)
+    def add_higher_term(ring, fd):
+        (t1,) = parse_expr("t1", ring).words()
         out = dict(fd)
-        out[m[:3] + (m[3] + 1,) + m[4:]] = 1  # m * t1, one order higher
+        out[min(fd) + t1] = 1  # a term times t1, one order higher
         return out
 
     order, message = corrupt_first_cofactor(monkeypatch, add_higher_term)
@@ -393,6 +395,49 @@ def test_nonclosing_lift_builds_few_fractions(monkeypatch, workload):
     assert made[0] <= 50
 
 
+@pytest.mark.parametrize("workload", ["nonclosing", "diagonal"])
+def test_lift_multiplies_no_exponent_tuples(monkeypatch, workload):
+    # a load-independent work gate next to the Fraction one: the lift
+    # multiplies packed monomials, one integer addition per product, so a
+    # step calls the tuple product mono_mul at most a few times (47,251
+    # times on nonclosing and 10,539 on diagonal when it multiplied tuples)
+    real_mul, real_step = mono_mul, deformation._lift_step
+    depth, calls = [0], [0]
+
+    def counting_mul(a, b):
+        calls[0] += depth[0] > 0
+        return real_mul(a, b)
+
+    def counted_step(state):
+        depth[0] += 1
+        try:
+            return real_step(state)
+        finally:
+            depth[0] -= 1
+
+    for name, module in list(sys.modules.items()):
+        if (name == "versal" or name.startswith("versal.")) and \
+                getattr(module, "mono_mul", None) is real_mul:
+            monkeypatch.setattr(module, "mono_mul", counting_mul)
+    monkeypatch.setattr(deformation, "_lift_step", counted_step)
+    if workload == "nonclosing":
+        gens, degree, order = nonclosing_generators(), (0,), 10
+    else:
+        gens, degree, order = load_input(DIAGONAL_FILE).generators, (0, 0, 0), 6
+    res = versal_deformation(gens, degree=degree, max_order=10)
+    assert res.order == order and res.polynomial == (workload == "diagonal")
+    assert calls[0] <= 50
+
+
+def test_overflowed_piece_is_refused():
+    # a product past the degree limit is caught when a piece is stored,
+    # before it can be multiplied again
+    ring = RingSpec(("x",), ("t",))
+    over = ring.pack((DEGREE_LIMIT - 1, 0)) + ring.pack((1, 0))
+    with pytest.raises(VersalError, match="overflow"):
+        deformation._require_order(ring, [[{over: 1}]], 0, "F")
+
+
 # -- the heap-ordered reduction against a plain one -------------------------
 
 def plain_reduce(gb, col, key=None):
@@ -441,6 +486,24 @@ def plain_reduce(gb, col, key=None):
 
 def clean(fd):
     return {k: c for k, c in fd.items() if c}
+
+
+def packed(ring, col):
+    """A column keyed by (position, exponent tuple), keyed by words."""
+    return {(pos, ring.pack(m)): c for (pos, m), c in col.items()}
+
+
+def unpacked(ring, nf, cofs):
+    """A normal form and cofactors keyed by words, keyed by tuples."""
+    return ({(pos, ring.unpack(w)): c for (pos, w), c in nf.items()},
+            {i: {ring.unpack(w): c for w, c in fd.items()}
+             for i, fd in cofs.items()})
+
+
+def xreduce(xb, col):
+    """xb.reduce of a column keyed by tuples, the results keyed by tuples."""
+    ring = xb.engine.ring
+    return unpacked(ring, *xb.reduce(packed(ring, col)))
 
 
 def added(a, b):
@@ -493,7 +556,7 @@ def test_heap_reduction_matches_plain_max_loop(xbasis):
     rng = random.Random(6061)
     for _ in range(12):
         col = random_column(rng, gb0, l, rng.randint(1, 12))
-        assert xb.reduce(col) == plain_reduce(gb0, col)
+        assert xreduce(xb, col) == plain_reduce(gb0, col)
 
 
 def test_reduction_is_linear(xbasis):
@@ -506,9 +569,9 @@ def test_reduction_is_linear(xbasis):
         b = random_column(rng, gb0, l, rng.randint(1, 10))
         for t in rng.sample(sorted(a), len(a) // 2):
             b[t] = -a[t]  # cancel some terms of a exactly
-        nf_a, cofs_a = xb.reduce(a)
-        nf_b, cofs_b = xb.reduce(b)
-        nf, cofs = xb.reduce(added(a, b))
+        nf_a, cofs_a = xreduce(xb, a)
+        nf_b, cofs_b = xreduce(xb, b)
+        nf, cofs = xreduce(xb, added(a, b))
         assert nf == added(nf_a, nf_b)
         summed = {i: added(cofs_a.get(i, {}), cofs_b.get(i, {}))
                   for i in set(cofs_a) | set(cofs_b)}
@@ -542,16 +605,17 @@ def test_scaled_reduction_matches_plain_max_loop():
         gb = groebner.GroebnerBasis(ring, 2, engine, len(gens), tracked=True)
         for _ in range(3):
             vec = column([-6, -3, 2, 4, 6, 9])
-            h, cofs, scale = engine.nf_with_input_cofactors(vec)
-            assert ({t: Fraction(c, scale) for t, c in h.items()},
-                    {i: {m: Fraction(c, scale) for m, c in fd.items()}
-                     for i, fd in cofs.items()}) == plain_reduce(gb, vec, key)
+            h, cofs, scale = engine.nf_with_input_cofactors(packed(ring, vec))
+            assert unpacked(ring, {t: Fraction(c, scale) for t, c in h.items()},
+                            {i: {m: Fraction(c, scale) for m, c in fd.items()}
+                             for i, fd in cofs.items()}) == \
+                plain_reduce(gb, vec, key)
         if eliminate is None:
             xb = deformation._XBasis(gb)
             for _ in range(3):
                 col = column([Fraction(a, b) for a in (-3, -1, 1, 2, 5)
                               for b in (1, 2, 3)])
-                assert xb.reduce(col) == plain_reduce(gb, col)
+                assert xreduce(xb, col) == plain_reduce(gb, col)
 
 
 # -- multigraded Hilbert scheme germ ----------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the sparse polynomial ring layer."""
 
 from fractions import Fraction
+from operator import add, le
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ from versal import (
     parameter_ring,
     parse_expr,
 )
-from versal.polyring import ratio
+from versal import buchberger
+from versal.polyring import DEGREE_LIMIT, ratio
 
 R2 = RingSpec(("x", "y"))
 G2 = RingSpec(("x", "y"), (), ((1,), (1,)))
@@ -302,8 +304,6 @@ def test_extend_with_parameters_graded():
     p = parse_expr("x*t1 + t2", St)
     assert p.multi_degree() == (2,)
     assert p.t_degree() == 1
-    assert parse_expr("t1 + t2", St).is_t_homogeneous()
-    assert not parse_expr("t1 + t1*t2", St).is_t_homogeneous()
 
 
 def test_extend_requires_degrees_on_graded_ring():
@@ -361,3 +361,94 @@ def test_monomial_key_separates_blocks():
     assert key(x2t) > key(x2)
     p = parse_expr("x^2 + x^2*t1 + x*t1", St)
     assert p.leading_term()[0] == x2t
+
+
+# -- packed monomials against exponent tuples -------------------------------
+
+def tuple_key(ring, mono):
+    """Reference order: grevlex on the x-block, then grevlex on the t-block."""
+    xm, tm = mono[:ring.nx], mono[ring.nx:]
+    return (sum(xm), tuple(-e for e in reversed(xm)),
+            sum(tm), tuple(-e for e in reversed(tm)))
+
+
+def tuple_mul(a, b):
+    return tuple(map(add, a, b))
+
+
+def tuple_divides(a, b):
+    return all(map(le, a, b))
+
+
+@st.composite
+def rings_with_monomials(draw):
+    """A ring of 0-5 x- and 0-4 t-variables, standard or multigraded, and
+    two monomials whose product stays below the degree limit."""
+    nx = draw(st.integers(min_value=0, max_value=5))
+    nt = draw(st.integers(min_value=0 if nx else 1, max_value=4))
+    x_degrees = t_degrees = None
+    if draw(st.booleans()):
+        rank = draw(st.integers(min_value=1, max_value=3))
+        degree = st.tuples(*[st.integers(min_value=0, max_value=3)] * rank)
+        x_degrees = [draw(degree.filter(any)) for _ in range(nx)]
+        t_degrees = [draw(degree) for _ in range(nt)]
+    ring = RingSpec(["x%d" % i for i in range(nx)],
+                    ["t%d" % i for i in range(nt)], x_degrees, t_degrees)
+    # small exponents, and some near the largest a product can hold
+    top = (DEGREE_LIMIT - 1) // (2 * max(nx, nt))
+    exponent = st.one_of(st.integers(min_value=0, max_value=3),
+                         st.integers(min_value=0, max_value=top))
+    mono = st.tuples(*[exponent] * (nx + nt))
+    return ring, draw(mono), draw(mono)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rings_with_monomials())
+def test_packed_monomials_agree_with_tuples(case):
+    ring, a, b = case
+    nx, nt = ring.nx, ring.nt
+    pa, pb = ring.pack(a), ring.pack(b)
+    assert ring.unpack(pa) == a and ring.unpack(pb) == b
+    assert ring.pack(ring.zero_mono()) == 0
+    # order
+    assert (pa < pb) == (tuple_key(ring, a) < tuple_key(ring, b))
+    assert (pa == pb) == (a == b)
+    # product and quotient
+    ab = tuple_mul(a, b)
+    assert pa + pb == ring.pack(ab) and ring.unpack(pa + pb) == ab
+    assert (pa + pb) - pa == pb
+    # divisibility, of a product by a factor and of two unrelated monomials
+    mask = ring.div_mask
+    for u, v in ((a, b), (b, a), (a, ab), (b, ab), (ab, a)):
+        packed = not (ring.exponents(ring.pack(v))
+                      - ring.exponents(ring.pack(u))) & mask
+        assert packed == tuple_divides(u, v)
+    assert ring.unpack(ring.lcm(pa, pb)) == tuple(map(max, a, b))
+    # the x/t split and the degrees
+    xw, tw = ring.split(pa)
+    assert ring.unpack(xw) == a[:nx] + (0,) * nt
+    assert ring.unpack(tw) == (0,) * nx + a[nx:]
+    assert xw + tw == pa
+    assert ring.t_degree(pa) == sum(a[nx:]) and ring.degree(pa) == sum(a)
+
+
+def test_packing_past_the_degree_limit_raises():
+    ring = RingSpec(("x", "y"), ("t",))
+    top = DEGREE_LIMIT - 1
+    assert ring.unpack(ring.pack((top, 0, top))) == (top, 0, top)
+    for mono in ((DEGREE_LIMIT, 0, 0), (top, 1, 0), (0, 0, DEGREE_LIMIT),
+                 (2 * DEGREE_LIMIT, 0, 0)):
+        with pytest.raises(VersalError, match="overflow"):
+            ring.pack(mono)
+    # a product past the limit is caught where it is used, never wrapped
+    over = ring.pack((top, 0, 0)) + ring.pack((0, 1, 0))
+    with pytest.raises(VersalError, match="overflow"):
+        ring.unpack(over)
+
+
+def test_groebner_product_past_the_degree_limit_raises():
+    # the S-pair of these leads has degree DEGREE_LIMIT
+    ring = RingSpec(("x", "y"))
+    gens = [poly("x^%d*y + 1" % (DEGREE_LIMIT - 2), ring), poly("x*y^2 + 1", ring)]
+    with pytest.raises(VersalError, match="overflow"):
+        buchberger(gens)
