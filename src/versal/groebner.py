@@ -39,7 +39,7 @@ from math import gcd
 
 from .errors import FiniteDimError, GradingError, LiftError, VersalError
 from .exactla import echelon_insert, integer_row
-from .polyring import Polynomial, mul_into, ratio
+from .polyring import Polynomial, mono_divides, mul_into, ratio
 
 # ---------------------------------------------------------------------------
 # free module elements and matrices
@@ -855,9 +855,9 @@ class GroebnerBasis:
                     if m[v] and all(e == 0 for i, e in enumerate(m) if i != v)
                 )
                 bounds.append(b)
-            box = product(*(range(b) for b in bounds))
-            lexps = [el.lexp for el in self._engine.basis if el.lt[0] == pos]
-            out.extend((pos, m) for m in _outside_leads(self.ring, lexps, box))
+            for mono in product(*(range(b) for b in bounds)):
+                if not any(mono_divides(m, mono) for m in pos_lts):
+                    out.append((pos, mono))
         key = self.ring.monomial_key
         out.sort(key=lambda t: (t[0], key(t[1])))
         return out
@@ -1347,24 +1347,13 @@ def monomials_of_degree(ring, d):
     return out
 
 
-def _outside_leads(ring, lexps, monos):
-    """The exponent tuples among `monos` that no monomial of exponent word
-    in `lexps` divides."""
-    exponents, pack, dm = ring.exponents, ring.pack, ring.div_mask
-    out = []
-    for m in monos:
-        e = exponents(pack(m))
-        if all((e - le) & dm for le in lexps):
-            out.append(m)
-    return out
-
-
 def standard_monomials(gb, d):
     """Monomials of multidegree d outside the leading-term ideal of gb."""
     if gb.rank != 1:
         raise VersalError("standard_monomials expects an ideal basis")
-    return _outside_leads(gb.ring, [el.lexp for el in gb._engine.basis],
-                          monomials_of_degree(gb.ring, d))
+    lts = [m for _, m in gb.leading_terms()]
+    return [m for m in monomials_of_degree(gb.ring, d)
+            if not any(mono_divides(l, m) for l in lts)]
 
 
 def hilbert_function(ideal, d):

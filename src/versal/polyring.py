@@ -37,6 +37,8 @@ module is the only one that knows the layout of a word:
   queues and each expression it forms, and the lift each piece it stores,
   so a word that overflows is never multiplied again and never wraps
   silently.
+  Exponent tuples have no such bound, so neither has a `Polynomial` nor
+  `RingSpec.monomial_key`, the tuple sort key.
 
 Every ring uses 16-bit fields, so a word of n variables has 16n bits.
 Degrees near 2^15 are far beyond what a Gröbner computation here finishes
@@ -49,7 +51,7 @@ from __future__ import annotations
 import re
 import struct
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, le, neg, sub
 
 from .errors import GradingError, ParseError, RingMismatchError, VersalError
 
@@ -179,6 +181,13 @@ class RingSpec:
                     total[i] += e * d[i]
         return tuple(total)
 
+    def monomial_key(self, mono):
+        """Sort key: grevlex on the x-block, refined by grevlex on the t-block."""
+        nx = self.nx
+        xm, tm = mono[:nx], mono[nx:]
+        return (sum(xm), tuple(map(neg, xm[::-1])),
+                sum(tm), tuple(map(neg, tm[::-1])))
+
     # -- packed monomials (layout in the module docstring) --------------
 
     def _init_codec(self):
@@ -238,10 +247,6 @@ class RingSpec:
         e = self.exponents(word)
         e = e >> self._t_bits | (e & self._t_mask) << self._x_bits
         return self._struct.unpack(e.to_bytes(self._struct.size, "little"))
-
-    # sort key for exponent tuples: the word, whose integer order is the
-    # monomial order
-    monomial_key = pack
 
     def exponents(self, word):
         """The exponent word of a valid word, for divisibility tests."""
@@ -436,6 +441,15 @@ class Polynomial:
             return None
         nx = self.ring.nx
         return max(sum(m[nx:]) for m in self._terms)
+
+    def is_t_homogeneous(self, order=None):
+        if not self._terms:
+            return True
+        nx = self.ring.nx
+        orders = {sum(m[nx:]) for m in self._terms}
+        if len(orders) > 1:
+            return False
+        return order is None or orders == {order}
 
     def multi_degree(self):
         """Common multidegree of all terms, or None if not homogeneous."""

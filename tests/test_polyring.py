@@ -19,7 +19,7 @@ from versal import (
     parameter_ring,
     parse_expr,
 )
-from versal import buchberger
+from versal import buchberger, hilbert_function
 from versal.polyring import DEGREE_LIMIT, ratio
 
 R2 = RingSpec(("x", "y"))
@@ -304,6 +304,8 @@ def test_extend_with_parameters_graded():
     p = parse_expr("x*t1 + t2", St)
     assert p.multi_degree() == (2,)
     assert p.t_degree() == 1
+    assert parse_expr("t1 + t2", St).is_t_homogeneous()
+    assert not parse_expr("t1 + t1*t2", St).is_t_homogeneous()
 
 
 def test_extend_requires_degrees_on_graded_ring():
@@ -444,6 +446,18 @@ def test_packing_past_the_degree_limit_raises():
     over = ring.pack((top, 0, 0)) + ring.pack((0, 1, 0))
     with pytest.raises(VersalError, match="overflow"):
         ring.unpack(over)
+
+
+def test_exponent_tuples_have_no_degree_limit():
+    # only packed words are bounded: Polynomial, its printing and the
+    # helpers that sort exponent tuples work past DEGREE_LIMIT
+    big = DEGREE_LIMIT + 5
+    p = poly("x^%d + x*y^%d" % (big, big), G2)
+    assert p.leading_term() == ((1, big), 1)
+    assert format_expr(p) == "x*y^%d + x^%d" % (big, big)
+    G1 = RingSpec(("x",), (), ((1,),))
+    assert hilbert_function([poly("x^2", G1)], (big,)) == 0
+    assert hilbert_function([poly("x^2", G1)], (1,)) == 1
 
 
 def test_groebner_product_past_the_degree_limit_raises():
