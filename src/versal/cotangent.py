@@ -1,20 +1,26 @@
 """Tangent spaces, normal modules, and obstruction spaces of singularities.
 
-The input throughout is a one-row matrix F of ideal generators.  With R the
-matrix of first syzygies of F, a tangent vector is a column v over S/I
-(I = ideal of F's entries) satisfying v^T R = 0 in S/I; first-order
-deformation classes are such columns modulo the trivial ones coming from
-derivations of the ambient ring.  Obstruction classes live one step up the
-resolution: columns w over S/I indexed by the syzygies, vanishing against
-both the Koszul relations and the second syzygies, modulo columns of R^T.
+The input throughout is a one-row matrix F of ideal generators, R its
+matrix of first syzygies, and I the ideal of F's entries.  All three spaces
+are one construction: the vectors v over S/I on which a condition matrix C
+vanishes (v^T C = 0 in S/I), modulo the span of a matrix of trivial
+directions.  Each public function only names its three inputs:
 
-Both spaces come in two flavours:
+* the normal module Hom(I, S/I): conditions R, no trivial directions;
+* the tangent space T1: conditions R, trivial directions the Jacobian
+  matrix (the derivations of the ambient ring);
+* the obstruction space T2, one step up the resolution: vectors indexed by
+  the syzygies, conditions [Lambda | B] (the Koszul relations lifted
+  through R, and the second syzygies), trivial directions R^T.
 
-* a graded piece of a fixed multidegree, computed by exact linear algebra on
+Shifts carry the grading: the slots of v, the conditions and the trivial
+directions each have a degree, and `_space` builds either
+
+* the graded piece of a fixed multidegree, by exact linear algebra on
   standard monomials (this is what drives multigraded Hilbert scheme
-  computations), and
-* the full space for a singularity with finite-dimensional tangent theory,
-  computed through an explicit subquotient presentation.
+  computations), or, without a degree,
+* the full space of a singularity with finite-dimensional tangent theory,
+  through an explicit subquotient presentation.
 """
 
 from functools import lru_cache
@@ -256,109 +262,6 @@ def _quotient_selection(trivial_vectors, kernel):
     return [p - ntr for p in pivots if p >= ntr]
 
 
-def normal_matrix(F0, degree):
-    """Basis of the degree-`degree` piece of the normal module Hom(I, S/I).
-
-    Columns are m-vectors v over S (standard-monomial representatives) with
-    v^T R = 0 modulo I; no quotient by trivial deformations is taken.
-    """
-    F0 = as_generator_matrix(F0)
-    ring = F0.ring
-    d = _as_degree(ring, degree)
-    if F0.col_degrees is None:
-        raise GradingError("generators must be homogeneous to take a graded piece")
-    R0 = first_syzygies(F0)
-    amb_degrees = [_shift(d, e) for e in F0.col_degrees]
-    if R0.cols and R0.col_degrees is None:
-        raise GradingError("syzygies are not homogeneous")
-    cond_degrees = [_shift(d, e) for e in (R0.col_degrees or ())]
-    labels, _, ker = _graded_kernel(F0, amb_degrees, R0, cond_degrees)
-    cols = _coords_to_columns(ring, F0.cols, labels, ker)
-    vectors = PolyMatrix.from_columns(
-        ring, F0.cols, cols,
-        row_degrees=tuple(_neg(e) for e in F0.col_degrees),
-        col_degrees=tuple(d for _ in cols))
-    return TangentBasis(vectors, degrees=[d] * len(cols))
-
-
-def cotangent1(F0, degree=None):
-    """First tangent space of the singularity defined by F0.
-
-    With a degree: the graded piece, i.e. the degree-`degree` part of the
-    normal module modulo trivial deformations.  Without: the full space,
-    which must be finite-dimensional.
-    """
-    F0 = as_generator_matrix(F0)
-    ring = F0.ring
-    if degree is None:
-        return _cotangent1_local(F0)
-    d = _as_degree(ring, degree)
-    if F0.col_degrees is None:
-        raise GradingError("generators must be homogeneous to take a graded piece")
-    gbI = ideal_basis(F0)
-    R0 = first_syzygies(F0)
-    amb_degrees = [_shift(d, e) for e in F0.col_degrees]
-    cond_degrees = [_shift(d, e) for e in (R0.col_degrees or ())]
-    labels, index, ker = _graded_kernel(F0, amb_degrees, R0, cond_degrees)
-    jac = jacobian_matrix(F0)
-    trivial = []
-    for i in range(ring.nx):
-        for mono in monomials_of_degree(ring, _shift(d, ring.x_degrees[i])):
-            mu = Polynomial.from_monomial(ring, mono)
-            trivial.append(_vector_coords(
-                gbI, [mu * jac[p, i] for p in range(F0.cols)], index))
-    selection = _quotient_selection(trivial, ker)
-    cols = _coords_to_columns(ring, F0.cols, labels, ker, selection)
-    vectors = PolyMatrix.from_columns(
-        ring, F0.cols, cols,
-        row_degrees=tuple(_neg(e) for e in F0.col_degrees),
-        col_degrees=tuple(d for _ in cols))
-    return TangentBasis(vectors, degrees=[d] * len(cols))
-
-
-def cotangent2(F0, degree=None):
-    """Obstruction space of the singularity defined by F0.
-
-    Elements are l-vectors over S/I (l = number of syzygies) vanishing
-    against the Koszul relations and second syzygies, modulo columns of R^T.
-    With a degree, only that graded piece is computed.
-    """
-    F0 = as_generator_matrix(F0)
-    ring = F0.ring
-    R0 = first_syzygies(F0)
-    l = R0.cols
-    if l == 0:
-        vectors = PolyMatrix.zero(ring, 0, 0)
-        return TangentBasis(vectors, degrees=[] if ring.is_graded else None)
-    if degree is None:
-        return _cotangent2_local(F0)
-    d = _as_degree(ring, degree)
-    if F0.col_degrees is None or R0.col_degrees is None:
-        raise GradingError("generators must be homogeneous to take a graded piece")
-    gbI = ideal_basis(F0)
-    K, lam, B = _koszul_data(F0)
-    cond = lam.hstack(B) if B.cols else lam
-    cond_shifts = list(K.col_degrees or ()) + list(B.col_degrees or ())
-    if len(cond_shifts) != cond.cols:
-        raise GradingError("relation degrees are unavailable")
-    amb_degrees = [_shift(d, e) for e in R0.col_degrees]
-    cond_degrees = [_shift(d, e) for e in cond_shifts]
-    labels, index, ker = _graded_kernel(F0, amb_degrees, cond, cond_degrees)
-    trivial = []
-    for i in range(F0.cols):
-        for mono in monomials_of_degree(ring, _shift(d, F0.col_degrees[i])):
-            mu = Polynomial.from_monomial(ring, mono)
-            trivial.append(_vector_coords(
-                gbI, [mu * R0[i, s] for s in range(l)], index))
-    selection = _quotient_selection(trivial, ker)
-    cols = _coords_to_columns(ring, l, labels, ker, selection)
-    vectors = PolyMatrix.from_columns(
-        ring, l, cols,
-        row_degrees=tuple(_neg(e) for e in R0.col_degrees),
-        col_degrees=tuple(d for _ in cols))
-    return TangentBasis(vectors, degrees=[d] * len(cols))
-
-
 # ---------------------------------------------------------------------------
 # full (local) spaces via subquotient presentations
 # ---------------------------------------------------------------------------
@@ -396,52 +299,111 @@ def _subquotient_std_basis(ring, gbI, U, w_columns):
     return out
 
 
-def _cotangent1_local(F0):
+# ---------------------------------------------------------------------------
+# the one construction
+# ---------------------------------------------------------------------------
+
+
+def _space(F0, degree, amb_shifts, cond, cond_shifts, trivial=None,
+           trivial_shifts=()):
+    """Vectors v in S^amb (amb = cond.rows) with v^T cond = 0 modulo I,
+    taken modulo the columns of `trivial` (and of I S^amb).
+
+    With a degree d, slot p of v lives in degree d + amb_shifts[p],
+    condition c lands in degree d + cond_shifts[c], and column i of
+    `trivial` is multiplied by every monomial of degree d + trivial_shifts[i];
+    the result is the degree-d piece.  Without a degree it is the whole
+    space, which must be finite-dimensional.  Slot p has row degree
+    -amb_shifts[p] in the returned vectors.
+    """
     ring = F0.ring
+    amb = cond.rows
+    if degree is not None:
+        d = _as_degree(ring, degree)
+        if any(s is None for s in (amb_shifts, cond_shifts, trivial_shifts)):
+            raise GradingError(
+                "generators must be homogeneous to take a graded piece")
+    if amb == 0:  # T2 of an F without syzygies
+        return TangentBasis(PolyMatrix.zero(ring, 0, 0),
+                            degrees=[] if ring.is_graded else None)
+    row_degrees = (tuple(_neg(e) for e in amb_shifts)
+                   if amb_shifts is not None else None)
     gbI = ideal_basis(F0)
-    R0 = first_syzygies(F0)
-    m = F0.cols
-    gens = gbI.polynomials() if gbI is not None else []
-    if R0.cols == 0:
-        U = PolyMatrix.identity(ring, m)
-    else:
-        U = kernel_mod_ideal(_strip_degrees(R0.transpose()), gbI)
-    jac = jacobian_matrix(F0)
-    w_cols = jac.columns() + _ideal_unit_columns(ring, gens, m)
-    cols = _subquotient_std_basis(ring, gbI, U, w_cols)
-    degrees = None
-    if ring.is_graded and F0.col_degrees is not None:
-        degrees = _homogeneous_column_degrees(
-            cols, [_neg(e) for e in F0.col_degrees])
+
+    if degree is None:
+        if cond.cols == 0:
+            U = PolyMatrix.identity(ring, amb)
+        else:
+            U = kernel_mod_ideal(_strip_degrees(cond.transpose()), gbI)
+        gens = gbI.polynomials() if gbI is not None else []
+        w_cols = ((trivial.columns() if trivial is not None else [])
+                  + _ideal_unit_columns(ring, gens, amb))
+        cols = _subquotient_std_basis(ring, gbI, U, w_cols)
+        degrees = None
+        if ring.is_graded and row_degrees is not None:
+            degrees = _homogeneous_column_degrees(cols, row_degrees)
+        vectors = PolyMatrix.from_columns(
+            ring, amb, cols, row_degrees=row_degrees, col_degrees=degrees)
+        return TangentBasis(vectors, degrees=degrees)
+
+    amb_degrees = [_shift(d, e) for e in amb_shifts]
+    cond_degrees = [_shift(d, e) for e in cond_shifts]
+    labels, index, ker = _graded_kernel(F0, amb_degrees, cond, cond_degrees)
+    selection = None
+    if trivial is not None:
+        trivial_vectors = []
+        for i in range(trivial.cols):
+            for mono in monomials_of_degree(ring, _shift(d, trivial_shifts[i])):
+                mu = Polynomial.from_monomial(ring, mono)
+                trivial_vectors.append(_vector_coords(
+                    gbI, [mu * trivial[p, i] for p in range(amb)], index))
+        selection = _quotient_selection(trivial_vectors, ker)
+    cols = _coords_to_columns(ring, amb, labels, ker, selection)
     vectors = PolyMatrix.from_columns(
-        ring, m, cols,
-        row_degrees=(tuple(_neg(e) for e in F0.col_degrees)
-                     if F0.col_degrees is not None else None),
-        col_degrees=degrees)
-    return TangentBasis(vectors, degrees=degrees)
+        ring, amb, cols, row_degrees=row_degrees,
+        col_degrees=tuple(d for _ in cols))
+    return TangentBasis(vectors, degrees=[d] * len(cols))
 
 
-def _cotangent2_local(F0):
-    ring = F0.ring
-    gbI = ideal_basis(F0)
+# ---------------------------------------------------------------------------
+# the three spaces
+# ---------------------------------------------------------------------------
+
+
+def normal_matrix(F0, degree):
+    """Basis of the degree-`degree` piece of the normal module Hom(I, S/I).
+
+    Columns are m-vectors v over S (standard-monomial representatives) with
+    v^T R = 0 modulo I; no quotient by trivial deformations is taken.
+    """
+    F0 = as_generator_matrix(F0)
     R0 = first_syzygies(F0)
-    l = R0.cols
-    gens = gbI.polynomials() if gbI is not None else []
-    K, lam, B = _koszul_data(F0)
+    return _space(F0, degree, F0.col_degrees, R0, R0.col_degrees)
+
+
+def cotangent1(F0, degree=None):
+    """First tangent space of the singularity defined by F0.
+
+    With a degree: the graded piece, i.e. the degree-`degree` part of the
+    normal module modulo trivial deformations.  Without: the full space,
+    which must be finite-dimensional.
+    """
+    F0 = as_generator_matrix(F0)
+    R0 = first_syzygies(F0)
+    return _space(F0, degree, F0.col_degrees, R0, R0.col_degrees,
+                  jacobian_matrix(F0), F0.ring.x_degrees)
+
+
+def cotangent2(F0, degree=None):
+    """Obstruction space of the singularity defined by F0.
+
+    Elements are l-vectors over S/I (l = number of syzygies) vanishing
+    against the Koszul relations and second syzygies, modulo columns of R^T.
+    With a degree, only that graded piece is computed.
+    """
+    F0 = as_generator_matrix(F0)
+    R0 = first_syzygies(F0)
+    _, lam, B = _koszul_data(F0)
     cond = lam.hstack(B) if B.cols else lam
-    if cond.cols == 0:
-        U = PolyMatrix.identity(ring, l)
-    else:
-        U = kernel_mod_ideal(_strip_degrees(cond.transpose()), gbI)
-    w_cols = R0.transpose().columns() + _ideal_unit_columns(ring, gens, l)
-    cols = _subquotient_std_basis(ring, gbI, U, w_cols)
-    degrees = None
-    if ring.is_graded and R0.col_degrees is not None:
-        degrees = _homogeneous_column_degrees(
-            cols, [_neg(e) for e in R0.col_degrees])
-    vectors = PolyMatrix.from_columns(
-        ring, l, cols,
-        row_degrees=(tuple(_neg(e) for e in R0.col_degrees)
-                     if R0.col_degrees is not None else None),
-        col_degrees=degrees)
-    return TangentBasis(vectors, degrees=degrees)
+    return _space(F0, degree, R0.col_degrees, cond, cond.col_degrees,
+                  R0.transpose(), F0.col_degrees)

@@ -715,19 +715,19 @@ def _cofactor_polys(ring, cofs, count, divisor):
 
 
 def _as_columns(gens):
-    """Normalize input to (ring, rank, list of columns, row_degrees)."""
+    """Normalize input to (ring, rank, list of columns)."""
     if isinstance(gens, PolyMatrix):
-        return gens.ring, gens.rows, gens.columns(), gens.row_degrees
+        return gens.ring, gens.rows, gens.columns()
     gens = list(gens)
     if not gens:
         raise VersalError("no generators supplied")
     first = gens[0]
     if isinstance(first, Polynomial):
         ring = first.ring
-        return ring, 1, [[p] for p in gens], None
+        return ring, 1, [[p] for p in gens]
     if isinstance(first, FreeModuleElement):
         ring = first.ring
-        return ring, first.rank, [list(e.components) for e in gens], None
+        return ring, first.rank, [list(e.components) for e in gens]
     raise VersalError("cannot interpret generators of type %r" % type(first))
 
 
@@ -739,12 +739,11 @@ class GroebnerBasis:
     original generators.
     """
 
-    def __init__(self, ring, rank, engine, n_gens, row_degrees=None, tracked=False):
+    def __init__(self, ring, rank, engine, n_gens, tracked=False):
         self.ring = ring
         self.rank = rank
         self._engine = engine
         self.n_generators = n_gens
-        self.row_degrees = row_degrees
         self.tracked = tracked
         self.elements = [
             FreeModuleElement(ring, _ivec_to_polys(el.vec, ring, rank, el.lc))
@@ -863,22 +862,19 @@ class GroebnerBasis:
         return out
 
 
-def buchberger(gens, *, track=False, row_degrees=None):
+def buchberger(gens, *, track=False):
     """Reduced Gröbner basis of the module generated by `gens`.
 
     `gens` may be a list of Polynomials (ideal case), a list of
     FreeModuleElements, or a PolyMatrix whose columns generate.
     """
-    ring, rank, columns, rd = _as_columns(gens)
-    if row_degrees is None:
-        row_degrees = rd
+    ring, rank, columns = _as_columns(gens)
     engine = _Engine(ring, rank, track=track)
     for col in columns:
         engine.add_column(col)
     engine.complete()
     _interreduce(engine)
-    return GroebnerBasis(ring, rank, engine, len(columns), row_degrees=row_degrees,
-                         tracked=track)
+    return GroebnerBasis(ring, rank, engine, len(columns), tracked=track)
 
 
 def _interreduce(engine):
@@ -1000,8 +996,9 @@ def _homogeneous_column_degrees(columns, row_degrees):
     return col_degs
 
 
-def syzygy_matrix(F, *, minimal=True):
-    """Generating (by default minimal) syzygies of the columns of F.
+def syzygy_matrix(F):
+    """Generating syzygies of the columns of F, none of them redundant
+    (a minimal set when F is homogeneous).
 
     Returns a PolyMatrix S with F * S = 0 whose columns generate
     {v : F v = 0}.
@@ -1015,7 +1012,7 @@ def syzygy_matrix(F, *, minimal=True):
         col_degs = _homogeneous_column_degrees(columns, F.col_degrees)
         graded = col_degs is not None
 
-    if minimal and columns:
+    if columns:
         if graded:
             columns, col_degs = _minimal_columns_graded(
                 ring, columns, F.col_degrees, col_degs)
@@ -1094,17 +1091,23 @@ def kernel_mod_ideal(M, ideal):
     return out
 
 
-def _column_sort_key(ring, col):
+def _column_lead(ring, col):
+    """(key, coefficient) of the column's largest term, ranked by
+    (monomial_key, -position); (None, None) for a zero column."""
     key = ring.monomial_key
-    best = None
+    best = coeff = None
     for pos, p in enumerate(col):
         lt = p.leading_term()
         if lt is None:
             continue
         k = (key(lt[0]), -pos)
         if best is None or k > best:
-            best = k
-    return best or (0, 0)
+            best, coeff = k, lt[1]
+    return best, coeff
+
+
+def _column_sort_key(ring, col):
+    return _column_lead(ring, col)[0] or (0, 0)
 
 
 def _normalize_columns(ring, columns):
@@ -1125,18 +1128,8 @@ def _normalize_columns(ring, columns):
         scale = ratio(den, num)
         scaled = [p * scale for p in col]
         # sign: positive leading coefficient of the largest term across the column
-        key = ring.monomial_key
-        best = None
-        best_coeff = None
-        for pos, p in enumerate(scaled):
-            lt = p.leading_term()
-            if lt is None:
-                continue
-            k = (key(lt[0]), -pos)
-            if best is None or k > best:
-                best = k
-                best_coeff = lt[1]
-        if best_coeff is not None and best_coeff < 0:
+        lead = _column_lead(ring, scaled)[1]
+        if lead is not None and lead < 0:
             scaled = [-p for p in scaled]
         sig = tuple(tuple(sorted(p.terms_dict.items())) for p in scaled)
         if sig in seen:
@@ -1242,28 +1235,18 @@ def koszul_syzygies(F):
     )
 
 
-def module_quotient_lift(A, B, J=None):
-    """Solve A X = B modulo J (entrywise membership of B - A·X in J).
+def module_quotient_lift(A, B):
+    """Solve A X = B exactly.
 
     Returns the PolyMatrix X, or None when some column has no solution.
     """
     if A.rows != B.rows:
         raise VersalError("row mismatch in quotient lift")
     ring = A.ring
-    rank = A.rows
-    j_polys = []
-    if J is not None:
-        j_polys = J.polynomials() if isinstance(J, GroebnerBasis) else list(J)
-        j_polys = [p for p in j_polys if not p.is_zero()]
-    engine = _Engine(ring, max(rank, 1), track=True)
+    engine = _Engine(ring, max(A.rows, 1), track=True)
     n_acols = A.cols
     for col in A.columns():
         engine.add_column(col)
-    # generator-major: this input order steers the tracked cofactors
-    zero = Polynomial.zero(ring)
-    for p in j_polys:
-        for pos in range(rank):
-            engine.add_column([p if q == pos else zero for q in range(rank)])
     engine.complete()
 
     x_cols = []
@@ -1276,17 +1259,9 @@ def module_quotient_lift(A, B, J=None):
     X = PolyMatrix.from_columns(ring, n_acols, x_cols,
                                 row_degrees=A.col_degrees,
                                 col_degrees=B.col_degrees)
-    # verify: B - A·X must vanish modulo J
-    residue = A * X - B
-    if J is None:
-        if not residue.is_zero():
-            raise LiftError("quotient lift verification failed")
-    else:
-        gbj = J if isinstance(J, GroebnerBasis) else buchberger(j_polys)
-        for row in residue.entries:
-            for p in row:
-                if not p.is_zero() and not gbj.normal_form(p).is_zero():
-                    raise LiftError("quotient lift verification failed")
+    # verify: A·X must equal B
+    if not (A * X - B).is_zero():
+        raise LiftError("quotient lift verification failed")
     return X
 
 

@@ -174,12 +174,27 @@ ROOT = Path(__file__).resolve().parents[1]
      "711a0c52ab2151809c222899cf963c24a739b4b1f049c644362b4b52c5e2e95d"),
     (["gb", "demos/data/diagonal_p2cubed.vdef"],
      "9a60ebe9b3fbbfff3f6b8fda49646dd6491a643d07d399a3a8b1b99d3e4a3f9b"),
+    (["normal", "demos/data/diagonal_p2cubed.vdef", "--degree", "0,0,0"],
+     "9b30195b17cd52e964df5479a79327128d839f193ef153f0eebcb856dfab9706"),
+    (["normal", "perfbench/nonclosing.vdef", "--degree", "0"],
+     "c4ab0ff4578bc34b94d23fd6d25a394f75df41137499278ff78020b21cdb6535"),
+    (["t1", "perfbench/nonclosing.vdef", "--degree", "0"],
+     "b0da9a107dfafa1d4bfd2ea2b6b865b4bd8b912356904be3acf25b01948d7a0a"),
+    (["t2", "perfbench/nonclosing.vdef", "--degree", "0"],
+     "0fee0316107a3bfe9fa54afd3dd9274d92f6f8cf22e56f537da85f54fb3e6c13"),
+    (["t1", "demos/data/quartic_cone.vdef", "--degree", "-1"],
+     "f31a18e4c8c97fd4da556b150d91b032519286db2f40492d4b5253efed376792"),
+    (["t2", "demos/data/quartic_cone.vdef", "--degree", "-2"],
+     "f8763462d14f2310984dd62e2ac922a1d228dde15646cf4a7bc567fe1891eefa"),
 ], ids=["cone", "diagonal", "nonclosing", "t1-cone", "t2-cone",
-        "t1-diagonal", "t2-diagonal", "gb-diagonal"])
+        "t1-diagonal", "t2-diagonal", "gb-diagonal", "normal-diagonal",
+        "normal-nonclosing", "t1-nonclosing", "t2-nonclosing",
+        "t1-cone-graded", "t2-cone-graded"])
 def test_deform_json_golden_digest(args, digest, capsys):
     # a faster route to the same answer must not change one byte of it; the
-    # deform digests are the end-to-end ones, and the t1, t2 and gb digests
-    # pin the Gröbner engine under them on their own
+    # deform digests are the end-to-end ones, and the t1, t2, normal and gb
+    # digests pin the space builder and the Gröbner engine under them, in
+    # both the graded and the local branch
     command, path, *rest = args
     assert main([command, str(ROOT / path), *rest, "--json"]) == 0
     out = capsys.readouterr().out

@@ -6,6 +6,7 @@ import pytest
 
 from versal import (
     FiniteDimError,
+    GradingError,
     RingSpec,
     as_generator_matrix,
     buchberger,
@@ -163,6 +164,23 @@ def test_non_isolated_singularity_rejected():
         cotangent1(F0)
 
 
+# closed forms: the simple germs, whose T1 dimension is the Tjurina number
+# and which, as hypersurfaces, are unobstructed
+SIMPLE_GERMS = (
+    [("A%d" % k, "x^2 + y^%d" % (k + 1), k) for k in range(1, 7)]
+    + [("D%d" % k, "x^2*y + y^%d" % (k - 1), k) for k in range(4, 8)]
+    + [("E6", "x^3 + y^4", 6), ("E7", "x^3 + x*y^3", 7),
+       ("E8", "x^3 + y^5", 8)])
+
+
+@pytest.mark.parametrize("germ, tau", [g[1:] for g in SIMPLE_GERMS],
+                         ids=[g[0] for g in SIMPLE_GERMS])
+def test_simple_germ_tjurina_number(germ, tau):
+    F0 = gens_matrix(RingSpec(("x", "y")), [germ])
+    assert cotangent1(F0).dimension == tau
+    assert cotangent2(F0).dimension == 0
+
+
 # -- complete intersection --------------------------------------------------
 
 def test_complete_intersection_unobstructed():
@@ -211,6 +229,19 @@ def test_diagonal_graded_pieces_from_input_file():
 def test_normal_matrix_requires_degree_tuple_of_right_rank():
     with pytest.raises(Exception):
         normal_matrix(diagonal(), (0,))
+
+
+@pytest.mark.parametrize("space", [normal_matrix, cotangent1, cotangent2])
+@pytest.mark.parametrize("degrees, degree", [
+    (None, (1,)),              # the ring has no grading
+    (((3,), (2,)), (1, 0)),    # the degree has the wrong rank
+], ids=["ungraded", "wrong_rank"])
+def test_bad_degree_rejected_without_syzygies(space, degrees, degree):
+    # a hypersurface has no syzygies, so T2 has no slots; the degree is
+    # still checked
+    F0 = gens_matrix(RingSpec(("x", "y"), (), degrees), ["x^2 - y^3"])
+    with pytest.raises(GradingError):
+        space(F0, degree)
 
 
 # -- jacobian ---------------------------------------------------------------

@@ -10,10 +10,15 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from versal import exactla
+import pytest
+
+from versal import as_generator_matrix, cotangent, exactla, load_input
 from versal.exactla import SparseMatrix
 
-TRACEHOOKS = Path(__file__).resolve().parent.parent / "perfbench" / "tracehooks.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACEHOOKS = ROOT / "perfbench" / "tracehooks.py"
+DATA = ROOT / "demos" / "data"
+NONCLOSING = ROOT / "perfbench" / "nonclosing.vdef"
 
 
 def load_tracehooks():
@@ -33,13 +38,14 @@ def test_every_hook_target_is_callable():
         assert callable(obj), "%s: versal.%s.%s is gone" % (metric, mod, attr)
 
 
-def test_rref_cells_reads_the_sparse_matrix_shape(monkeypatch):
-    # `exactla.rref_cells` sums rows * cols of `rref`'s first argument; a
-    # change of that argument's type would quietly turn the metric into 0
-    tracehooks = load_tracehooks()
+@pytest.fixture
+def tracehooks(monkeypatch):
+    """The hooks module; every name its Tracer rebinds is put back after
+    the test."""
+    module = load_tracehooks()
     modules = [m for name, m in list(sys.modules.items())
                if name == "versal" or name.startswith("versal.")]
-    for mod, attr, _ in tracehooks.METRICS.values():
+    for mod, attr, _ in module.METRICS.values():
         owner_name, _, name = attr.rpartition(".")
         owner = importlib.import_module("versal." + mod)
         if owner_name:
@@ -47,10 +53,16 @@ def test_rref_cells_reads_the_sparse_matrix_shape(monkeypatch):
             monkeypatch.setattr(owner, name, getattr(owner, name))
             continue
         fn = getattr(owner, name)
-        for m in modules:  # every name the tracer rebinds is put back
+        for m in modules:
             for key, value in list(vars(m).items()):
                 if value is fn:
                     monkeypatch.setattr(m, key, value)
+    return module
+
+
+def test_rref_cells_reads_the_sparse_matrix_shape(tracehooks):
+    # `exactla.rref_cells` sums rows * cols of `rref`'s first argument; a
+    # change of that argument's type would quietly turn the metric into 0
     tracer = tracehooks.Tracer()
     tracer.install()
     M = SparseMatrix(4, [{0: 1, 3: 2}, {1: 1}, {0: 2, 3: 4}])
@@ -58,3 +70,26 @@ def test_rref_cells_reads_the_sparse_matrix_shape(monkeypatch):
     report = tracer.report()
     assert report["exactla.rref_cells"] == 12
     assert report["exactla.rref_calls"] == 1
+
+
+def test_space_hook_targets_are_called(tracehooks):
+    # a target that stays callable but drops off the call path (inlined
+    # into its caller, say) would report 0 for its per-layer metric; the
+    # local branch runs on the cone, the graded one on `nonclosing`.  The
+    # spaces are called through the module, whose names the tracer rebinds
+    tracer = tracehooks.Tracer()
+    assert tracer.install() == []
+    cone = as_generator_matrix(load_input(DATA / "quartic_cone.vdef").generators)
+    assert cotangent.cotangent1(cone).dimension == 4
+    assert cotangent.cotangent2(cone).dimension == 3
+    nonclosing = as_generator_matrix(load_input(NONCLOSING).generators)
+    assert cotangent.normal_matrix(nonclosing, 0).dimension == 8
+    assert cotangent.cotangent1(nonclosing, 0).dimension == 2
+    assert cotangent.cotangent2(nonclosing, 0).dimension == 0
+    targets = sorted({"%s.%s" % (mod, attr)
+                      for mod, attr, _ in tracehooks.METRICS.values()
+                      if mod == "cotangent"})
+    targets.append("groebner.kernel_mod_ideal")
+    assert len(targets) == 6
+    for target in targets:
+        assert tracer.stats[target]["calls"] >= 1, target
