@@ -26,7 +26,6 @@ from .exactla import (
     kernel_basis,
 )
 from .groebner import (
-    FreeModuleElement,
     PolyMatrix,
     GroebnerBasis,
     buchberger,
@@ -58,7 +57,7 @@ __all__ = [
     "RingSpec", "Polynomial", "parse_expr", "format_expr",
     "extend_with_parameters", "parameter_ring",
     "rref", "rref_with_transform", "rank", "kernel_basis",
-    "FreeModuleElement", "PolyMatrix", "GroebnerBasis", "buchberger",
+    "PolyMatrix", "GroebnerBasis", "buchberger",
     "syzygy_matrix", "koszul_syzygies", "module_quotient_lift",
     "kernel_mod_ideal", "monomials_of_degree", "standard_monomials",
     "hilbert_function",

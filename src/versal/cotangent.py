@@ -29,6 +29,7 @@ from .errors import FiniteDimError, GradingError, VersalError
 from .exactla import SparseMatrix, kernel_basis, rref
 from .groebner import (
     PolyMatrix,
+    _as_degree,
     _homogeneous_column_degrees,
     _ideal_unit_columns,
     _preimage_basis,
@@ -106,9 +107,9 @@ def as_generator_matrix(F0):
 
 @lru_cache(maxsize=64)
 def ideal_basis(F0):
-    """Reduced Gröbner basis of the ideal of F0's entries (None for 0)."""
-    gens = [p for p in F0.entries[0] if not p.is_zero()]
-    return buchberger(gens) if gens else None
+    """Reduced Gröbner basis of the ideal of F0's entries; zero entries add
+    nothing, so the zero ideal has an empty basis."""
+    return buchberger(F0)
 
 
 @lru_cache(maxsize=64)
@@ -146,18 +147,6 @@ def jacobian_matrix(F0):
     return PolyMatrix.from_columns(ring, F0.cols, cols)
 
 
-def _as_degree(ring, d):
-    if isinstance(d, int):
-        d = (d,)
-    d = tuple(int(c) for c in d)
-    if not ring.is_graded:
-        raise GradingError("ring %r has no grading" % (ring,))
-    if len(d) != ring.grading_rank:
-        raise GradingError(
-            "degree %r does not match grading rank %d" % (d, ring.grading_rank))
-    return d
-
-
 def _shift(d, e):
     return tuple(a + b for a, b in zip(d, e))
 
@@ -171,34 +160,27 @@ def _neg(d):
 # ---------------------------------------------------------------------------
 
 
-def _std_space(gbI, ring, position_degrees):
+def _std_space(gbI, position_degrees):
     """Standard-monomial coordinates (position, monomial) for each slot."""
     labels = []
     index = {}
     for pos, dp in enumerate(position_degrees):
         if any(c < 0 for c in dp):
             continue
-        monos = (standard_monomials(gbI, dp) if gbI is not None
-                 else monomials_of_degree(ring, dp))
-        for mono in monos:
+        for mono in standard_monomials(gbI, dp):
             index[(pos, mono)] = len(labels)
             labels.append((pos, mono))
     return labels, index
 
 
-def _nf(gbI, p):
-    return gbI.normal_form(p) if gbI is not None else p
-
-
 def _vector_coords(gbI, column, index):
-    """Coordinates {label index: entry} of an S^amb column after
-    reduction, or raise."""
+    """Coordinates {label index: entry} of a column after reduction modulo
+    the ideal, or raise GradingError for an entry of unexpected degree."""
     v = {}
     for pos, p in enumerate(column):
         if p.is_zero():
             continue
-        nf = _nf(gbI, p)
-        for mono, c in nf.terms_dict.items():
+        for mono, c in gbI.normal_form(p).terms_dict.items():
             idx = index.get((pos, mono))
             if idx is None:
                 raise GradingError("entry of unexpected degree; input is not "
@@ -218,23 +200,15 @@ def _graded_kernel(F0, amb_degrees, cond, cond_degrees):
     """
     ring = F0.ring
     gbI = ideal_basis(F0)
-    labels, index = _std_space(gbI, ring, amb_degrees)
-    row_labels, row_index = _std_space(gbI, ring, cond_degrees)
+    labels, index = _std_space(gbI, amb_degrees)
+    row_labels, row_index = _std_space(gbI, cond_degrees)
     rows = [{} for _ in row_labels]
     for j, (pos, mono) in enumerate(labels):
         mu = Polynomial.from_monomial(ring, mono)
-        for c in range(cond.cols):
-            g = cond[pos, c]
-            if g.is_zero():
-                continue
-            nf = _nf(gbI, mu * g)
-            for m2, coeff in nf.terms_dict.items():
-                ri = row_index.get((c, m2))
-                if ri is None:
-                    raise GradingError("condition of unexpected degree; input "
-                                       "is not homogeneous for the given grading")
-                row = rows[ri]
-                row[j] = row.get(j, 0) + coeff
+        # the image of slot j: mu times row pos of cond, one entry per condition
+        image = [g if g.is_zero() else mu * g for g in cond.entries[pos]]
+        for ri, coeff in _vector_coords(gbI, image, row_index).items():
+            rows[ri][j] = coeff
     return labels, index, kernel_basis(SparseMatrix(len(labels), rows))
 
 
@@ -294,7 +268,7 @@ def _subquotient_std_basis(ring, gbI, U, w_columns):
     out = []
     for pos, mono in std:
         mu = Polynomial.from_monomial(ring, mono)
-        col = [_nf(gbI, mu * U[i, pos]) for i in range(amb)]
+        col = [gbI.normal_form(mu * U[i, pos]) for i in range(amb)]
         out.append(col)
     return out
 
@@ -335,9 +309,8 @@ def _space(F0, degree, amb_shifts, cond, cond_shifts, trivial=None,
             U = PolyMatrix.identity(ring, amb)
         else:
             U = kernel_mod_ideal(_strip_degrees(cond.transpose()), gbI)
-        gens = gbI.polynomials() if gbI is not None else []
         w_cols = ((trivial.columns() if trivial is not None else [])
-                  + _ideal_unit_columns(ring, gens, amb))
+                  + _ideal_unit_columns(ring, gbI.polynomials(), amb))
         cols = _subquotient_std_basis(ring, gbI, U, w_cols)
         degrees = None
         if ring.is_graded and row_degrees is not None:

@@ -166,10 +166,8 @@ def _reduction_setup(F0m, R0, St):
     generator.  No input involves a parameter, so both bases are the
     parameter-free ones with padded monomials.
     """
-    gens = [p.map_ring(St) for p in F0m.entries[0]]
-    nz = [(j, p) for j, p in enumerate(gens) if not p.is_zero()]
-    gbI = buchberger([p for _, p in nz], track=True)
-    ideal_exprs = [{nz[i][0]: poly.words() for i, poly in cofs.items()}
+    gbI = buchberger(F0m.promote(St), track=True)
+    ideal_exprs = [{j: poly.words() for j, poly in cofs.items()}
                    for cofs in gbI.expressions()]
     hpolys = gbI.polynomials()
     l = R0.cols
@@ -189,8 +187,7 @@ def _echelon_obstructions(V, gb0):
     expresses echelon vector j in the original obstruction vectors.
     """
     d = V.cols
-    reduced = [[comp.words() for comp in
-                gb0.normal_form(V.column_element(k)).components]
+    reduced = [[comp.words() for comp in gb0.normal_form(V.column(k))]
                for k in range(d)]
     support = {(pos, w) for red in reduced
                for pos, fd in enumerate(red) for w in fd}
@@ -230,7 +227,7 @@ def _lowest_g_basis(state):
     for el, lt, expr in zip(gb.elements, gb.leading_terms(), gb.expressions()):
         ltw = ring.pack(lt[1])
         urep = {rows[i]: c.words() for i, c in expr.items()}
-        out.append((ring.exponents(ltw), ltw, el.components[0].words(), urep))
+        out.append((ring.exponents(ltw), ltw, el[0].words(), urep))
     state.gbt = tuple(out)
 
 

@@ -42,51 +42,8 @@ from .exactla import echelon_insert, integer_row
 from .polyring import Polynomial, mono_divides, mul_into, ratio
 
 # ---------------------------------------------------------------------------
-# free module elements and matrices
+# matrices
 # ---------------------------------------------------------------------------
-
-
-class FreeModuleElement:
-    """Element of S^r: a tuple of polynomials over a common ring."""
-
-    __slots__ = ("ring", "components")
-
-    def __init__(self, ring, components):
-        self.ring = ring
-        self.components = tuple(components)
-
-    @property
-    def rank(self):
-        return len(self.components)
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.components)
-
-    def __add__(self, other):
-        return FreeModuleElement(
-            self.ring, [a + b for a, b in zip(self.components, other.components)])
-
-    def __sub__(self, other):
-        return FreeModuleElement(
-            self.ring, [a - b for a, b in zip(self.components, other.components)])
-
-    def __neg__(self):
-        return FreeModuleElement(self.ring, [-a for a in self.components])
-
-    def scale(self, p):
-        return FreeModuleElement(self.ring, [p * a for a in self.components])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeModuleElement)
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash(self.components)
-
-    def __repr__(self):
-        return "(%s)" % ", ".join(str(p) for p in self.components)
 
 
 class PolyMatrix:
@@ -162,9 +119,6 @@ class PolyMatrix:
 
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
-
-    def column_element(self, j):
-        return FreeModuleElement(self.ring, self.column(j))
 
     def is_zero(self):
         return all(p.is_zero() for row in self.entries for p in row)
@@ -723,20 +677,19 @@ def _as_columns(gens):
         raise VersalError("no generators supplied")
     first = gens[0]
     if isinstance(first, Polynomial):
-        ring = first.ring
-        return ring, 1, [[p] for p in gens]
-    if isinstance(first, FreeModuleElement):
-        ring = first.ring
-        return ring, first.rank, [list(e.components) for e in gens]
+        return first.ring, 1, [[p] for p in gens]
+    if isinstance(first, list) and first:
+        return first[0].ring, len(first), gens
     raise VersalError("cannot interpret generators of type %r" % type(first))
 
 
 class GroebnerBasis:
     """A reduced Gröbner basis of a submodule of S^rank.
 
-    Elements are monic and tail-reduced, sorted by leading term.  When built
-    with track=True, normal forms can report division cofactors against the
-    original generators.
+    Elements are columns (lists of `rank` Polynomials), monic and
+    tail-reduced, sorted by leading term; the zero module has no elements.
+    When built with track=True, normal forms can report division cofactors
+    against the original generators.
     """
 
     def __init__(self, ring, rank, engine, n_gens, tracked=False):
@@ -745,10 +698,8 @@ class GroebnerBasis:
         self._engine = engine
         self.n_generators = n_gens
         self.tracked = tracked
-        self.elements = [
-            FreeModuleElement(ring, _ivec_to_polys(el.vec, ring, rank, el.lc))
-            for el in engine.basis
-        ]
+        self.elements = [_ivec_to_polys(el.vec, ring, rank, el.lc)
+                         for el in engine.basis]
 
     def __len__(self):
         return len(self.elements)
@@ -765,7 +716,7 @@ class GroebnerBasis:
         """Rank-1 convenience: the basis as plain polynomials."""
         if self.rank != 1:
             raise VersalError("not an ideal basis")
-        return [e.components[0] for e in self.elements]
+        return [e[0] for e in self.elements]
 
     def expressions(self):
         """Each basis element written in the original generators.
@@ -787,13 +738,12 @@ class GroebnerBasis:
         return out
 
     def normal_form(self, x, with_cofactors=False):
+        """Normal form of a Polynomial (rank 1) or of a column, a list of
+        `rank` Polynomials, as the same type; with_cofactors=True also
+        returns the cofactors over the original generators, so that
+        x == nf + sum(cofactor * generator)."""
         single = isinstance(x, Polynomial)
-        if single:
-            column = [x]
-        elif isinstance(x, FreeModuleElement):
-            column = list(x.components)
-        else:
-            column = list(x)
+        column = [x] if single else list(x)
         if len(column) != self.rank:
             raise VersalError("rank mismatch in normal form")
         vec, den = _column_to_ivec(self.ring, column)
@@ -801,17 +751,19 @@ class GroebnerBasis:
             if not self.tracked:
                 raise VersalError("basis was not built with track=True")
             h, input_cofs, scale = self._engine.nf_with_input_cofactors(vec)
-            nf = _ivec_to_polys(h, self.ring, self.rank, scale * den)
-            cof_polys = _cofactor_polys(self.ring, input_cofs,
-                                        self._engine.n_inputs, scale * den)
-            result = nf[0] if single else FreeModuleElement(self.ring, nf)
-            return result, cof_polys
-        h, _, scale = self._engine.reduce_full(vec, track=False)
+        else:
+            h, _, scale = self._engine.reduce_full(vec, track=False)
         nf = _ivec_to_polys(h, self.ring, self.rank, scale * den)
-        return nf[0] if single else FreeModuleElement(self.ring, nf)
+        if single:
+            nf = nf[0]
+        if with_cofactors:
+            return nf, _cofactor_polys(self.ring, input_cofs,
+                                       self._engine.n_inputs, scale * den)
+        return nf
 
     def contains(self, x):
-        return self.normal_form(x).is_zero()
+        nf = self.normal_form(x)
+        return nf.is_zero() if isinstance(nf, Polynomial) else not any(nf)
 
     def is_finite_quotient(self):
         """True iff S^rank / (this module) is finite-dimensional over QQ,
@@ -865,8 +817,10 @@ class GroebnerBasis:
 def buchberger(gens, *, track=False):
     """Reduced Gröbner basis of the module generated by `gens`.
 
-    `gens` may be a list of Polynomials (ideal case), a list of
-    FreeModuleElements, or a PolyMatrix whose columns generate.
+    `gens` may be a list of Polynomials (ideal case), a list of columns
+    (each a list of Polynomials of one length), or a PolyMatrix whose
+    columns generate.  Zero generators add nothing, so the basis of a zero
+    module, such as the ideal of a one-row matrix of zeros, is empty.
     """
     ring, rank, columns = _as_columns(gens)
     engine = _Engine(ring, rank, track=track)
@@ -1012,29 +966,16 @@ def syzygy_matrix(F):
         col_degs = _homogeneous_column_degrees(columns, F.col_degrees)
         graded = col_degs is not None
 
-    if columns:
-        if graded:
-            columns, col_degs = _minimal_columns_graded(
-                ring, columns, F.col_degrees, col_degs)
-        else:
-            columns = _prune_redundant(ring, F.cols, columns)
-
     if graded:
-        paired = sorted(
-            zip(columns, col_degs),
-            key=lambda t: (sum(t[1]), t[1], _column_sort_key(ring, t[0])),
-        )
-        columns = [c for c, _ in paired]
-        col_degs = [d for _, d in paired]
+        # sorted by (total degree, degree, column key) as they are kept
+        columns, col_degs = _minimal_columns_graded(
+            ring, columns, F.col_degrees, col_degs)
     else:
-        columns = sorted(columns, key=lambda c: _column_sort_key(ring, c))
-        col_degs = None
+        columns = sorted(_prune_redundant(ring, columns),
+                         key=lambda c: _column_sort_key(ring, c))
 
     out = PolyMatrix.from_columns(
-        ring, F.cols, columns,
-        row_degrees=F.col_degrees,
-        col_degrees=col_degs if graded else None,
-    )
+        ring, F.cols, columns, row_degrees=F.col_degrees, col_degrees=col_degs)
     # hard invariant: F * S == 0 identically
     if not (F * out).is_zero():
         raise VersalError("syzygy verification failed")
@@ -1057,15 +998,12 @@ def _ideal_unit_columns(ring, gens, rank):
 def kernel_mod_ideal(M, ideal):
     """Generators of {v in S^cols : M v = 0 in (S/I)^rows}.
 
-    `ideal` is a GroebnerBasis or a list of polynomials.  Returns a
+    `ideal` is the GroebnerBasis of I; for I = 0 it is empty.  Returns a
     PolyMatrix whose columns generate the kernel of the map induced by M on
     free modules over S/I, lifted to S.
     """
     ring = M.ring
-    gbi = ideal if isinstance(ideal, GroebnerBasis) else (
-        buchberger([p for p in ideal if not p.is_zero()]) if any(
-            not p.is_zero() for p in ideal) else None)
-    gens = gbi.polynomials() if gbi is not None else []
+    gens = ideal.polynomials()
     if M.cols == 0:
         return PolyMatrix.zero(ring, 0, 0)
     if M.rows == 0 or M.is_zero():
@@ -1084,9 +1022,7 @@ def kernel_mod_ideal(M, ideal):
     prod = M * out
     for row in prod.entries:
         for p in row:
-            if p.is_zero():
-                continue
-            if gbi is None or not gbi.normal_form(p).is_zero():
+            if not p.is_zero() and not ideal.contains(p):
                 raise VersalError("kernel verification failed")
     return out
 
@@ -1140,7 +1076,8 @@ def _normalize_columns(ring, columns):
 
 
 def _minimal_columns_graded(ring, columns, row_degs, col_degs):
-    """Graded minimal generators among homogeneous columns (Nakayama)."""
+    """Graded minimal generators among homogeneous columns (Nakayama),
+    with their degrees, sorted by (total degree, degree, column key)."""
     order = sorted(range(len(columns)),
                    key=lambda i: (sum(col_degs[i]), col_degs[i],
                                   _column_sort_key(ring, columns[i])))
@@ -1187,14 +1124,11 @@ def _minimal_columns_graded(ring, columns, row_degs, col_degs):
             if v is None or echelon_insert(echelon, v):
                 kept.append(i)
                 kept_degs.append(col_degs[i])
-    kept_sorted = sorted(range(len(kept)),
-                         key=lambda n: (sum(kept_degs[n]), kept_degs[n],
-                                        _column_sort_key(ring, columns[kept[n]])))
-    return ([columns[kept[n]] for n in kept_sorted],
-            [kept_degs[n] for n in kept_sorted])
+    # `kept` follows `order`, one degree after another in sorted order
+    return [columns[i] for i in kept], kept_degs
 
 
-def _prune_redundant(ring, rank, columns):
+def _prune_redundant(ring, columns):
     """Drop columns lying in the module generated by the others."""
     cols = sorted(columns, key=lambda c: _column_sort_key(ring, c), reverse=True)
     changed = True
@@ -1204,8 +1138,7 @@ def _prune_redundant(ring, rank, columns):
             others = cols[:i] + cols[i + 1:]
             if not others:
                 break
-            gb = buchberger([FreeModuleElement(ring, c) for c in others])
-            if gb.contains(FreeModuleElement(ring, cols[i])):
+            if buchberger(others).contains(cols[i]):
                 cols.pop(i)
                 changed = True
                 break
@@ -1270,10 +1203,16 @@ def module_quotient_lift(A, B):
 # ---------------------------------------------------------------------------
 
 
-def _as_degree(d):
-    if isinstance(d, int):
-        return (d,)
-    return tuple(int(c) for c in d)
+def _as_degree(ring, d):
+    """The degree d (an int or a sequence) as a tuple of ints; GradingError
+    unless the ring is graded and d has its grading rank."""
+    d = (d,) if isinstance(d, int) else tuple(int(c) for c in d)
+    if not ring.is_graded:
+        raise GradingError("ring %r has no grading" % (ring,))
+    if len(d) != ring.grading_rank:
+        raise GradingError(
+            "degree %r does not match grading rank %d" % (d, ring.grading_rank))
+    return d
 
 
 def monomials_of_degree(ring, d):
@@ -1283,12 +1222,8 @@ def monomials_of_degree(ring, d):
     degrees (validated at ring construction), which makes the answer finite.
     The answer is memoised on the ring, one entry per degree.
     """
-    if not ring.is_graded:
-        raise GradingError("ring %r has no grading" % (ring,))
-    d = _as_degree(d)
+    d = _as_degree(ring, d)
     rank = ring.grading_rank
-    if len(d) != rank:
-        raise GradingError("degree %r has rank != %d" % (d, rank))
     if any(c < 0 for c in d):
         return ()
     memo = ring._degree_memo

@@ -186,10 +186,14 @@ ROOT = Path(__file__).resolve().parents[1]
      "f31a18e4c8c97fd4da556b150d91b032519286db2f40492d4b5253efed376792"),
     (["t2", "demos/data/quartic_cone.vdef", "--degree", "-2"],
      "f8763462d14f2310984dd62e2ac922a1d228dde15646cf4a7bc567fe1891eefa"),
+    # the cone without its grading: the syzygies go through the ungraded
+    # pruning and sort instead of the graded minimalisation
+    (["deform", "tests/data/quartic_cone_ungraded.vdef"],
+     "936d11280c8ed179a573a4a07504efd086d760197473e4ffcdeb74d641933128"),
 ], ids=["cone", "diagonal", "nonclosing", "t1-cone", "t2-cone",
         "t1-diagonal", "t2-diagonal", "gb-diagonal", "normal-diagonal",
         "normal-nonclosing", "t1-nonclosing", "t2-nonclosing",
-        "t1-cone-graded", "t2-cone-graded"])
+        "t1-cone-graded", "t2-cone-graded", "cone-ungraded"])
 def test_deform_json_golden_digest(args, digest, capsys):
     # a faster route to the same answer must not change one byte of it; the
     # deform digests are the end-to-end ones, and the t1, t2, normal and gb

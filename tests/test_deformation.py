@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from versal import (
+    DeformationResult,
     LiftError,
     PolyMatrix,
     RingSpec,
@@ -22,11 +23,14 @@ from versal import (
     VersalError,
     as_generator_matrix,
     buchberger,
+    cotangent1,
+    cotangent2,
     extend_with_parameters,
     first_syzygies,
     format_expr,
     hilbert_function,
     load_input,
+    normal_matrix,
     parameter_ring,
     parse_expr,
     versal_deformation,
@@ -265,6 +269,21 @@ def test_rigid_ideal():
     assert res.log == [MSG_FIRST_ORDER, MSG_POLYNOMIAL]
 
 
+@pytest.mark.parametrize("compute", [
+    cotangent1, cotangent2, lambda F0: normal_matrix(F0, None),
+    versal_deformation,
+], ids=["cotangent1", "cotangent2", "normal_matrix", "versal_deformation"])
+def test_zero_ideal_has_zero_spaces(compute):
+    # the ideal of the single generator 0 has an empty Gröbner basis, and
+    # every space of it is zero: its one syzygy kills all normal vectors
+    result = compute([parse_expr("0", RingSpec(("x", "y")))])
+    if isinstance(result, DeformationResult):
+        assert result.polynomial and result.family().is_zero()
+        assert result.obstruction_dimension == 0
+        result = result.tangent
+    assert result.dimension == 0
+
+
 # -- a family that never closes --------------------------------------------
 
 def test_nonclosing_identity_holds_through_cut_order():
@@ -448,7 +467,7 @@ def plain_reduce(gb, col, key=None):
     if key is None:
         key = lambda t: (gb.ring.monomial_key(t[1]), -t[0])
     leads = gb.leading_terms()
-    vecs = [{(p, m): c for p, comp in enumerate(el.components)
+    vecs = [{(p, m): c for p, comp in enumerate(el)
              for m, c in comp.terms_dict.items()} for el in gb.elements]
     exprs = [{i: poly.terms_dict for i, poly in expr.items()}
              for expr in gb.expressions()]

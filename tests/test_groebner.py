@@ -129,7 +129,7 @@ def test_tracked_expressions_reproduce_elements():
         total = Polynomial.zero(R3)
         for idx, cof in expr.items():
             total = total + cof * gens[idx]
-        assert total == elem.components[0]
+        assert total == elem[0]
 
 
 def test_unit_ideal():
@@ -167,7 +167,7 @@ def test_koszul_syzygies_lie_in_syzygy_module():
     assert K.cols == 15  # one per unordered pair of the 6 generators
     gb = buchberger(S)
     for j in range(K.cols):
-        assert gb.normal_form(K.column_element(j)).is_zero()
+        assert not any(gb.normal_form(K.column(j)))
 
 
 def test_syzygy_matrix_of_regular_sequence_is_koszul():
@@ -212,18 +212,18 @@ def test_tracked_rank2_module_basis_with_fractions_and_zero_column():
     for elem, expr in zip(gb.elements, gb.expressions()):
         assert 1 not in expr  # the zero column takes no part
         cofs = [expr.get(i, zero) for i in range(len(cols))]
-        assert module_combination(cofs, cols) == list(elem.components)
+        assert module_combination(cofs, cols) == elem
     # a random column is its normal form plus the cofactor combination
     v = [random_fraction_poly(rng, 3, 3), random_fraction_poly(rng, 3, 3)]
     nf, cofs = gb.normal_form(v, with_cofactors=True)
     assert len(cofs) == 4 and cofs[1].is_zero()
     rebuilt = module_combination(cofs, cols)
-    assert [a + b for a, b in zip(nf.components, rebuilt)] == v
+    assert [a + b for a, b in zip(nf, rebuilt)] == v
     # monic and tail-reduced: no term but its own lead is divisible by a lead
     leads = gb.leading_terms()
     for elem, (lpos, lmono) in zip(gb.elements, leads):
-        assert elem.components[lpos].terms_dict[lmono] == 1
-        for pos, p in enumerate(elem.components):
+        assert elem[lpos].terms_dict[lmono] == 1
+        for pos, p in enumerate(elem):
             for mono in p.terms_dict:
                 if (pos, mono) == (lpos, lmono):
                     continue
@@ -257,7 +257,7 @@ def test_kernel_mod_ideal():
     R2 = RingSpec(("x", "y"), (), ((1,), (1,)))
     x = parse_expr("x", R2)
     M = as_generator_matrix([x])
-    K = kernel_mod_ideal(M, [x * x])
+    K = kernel_mod_ideal(M, buchberger([x * x]))
     gb = buchberger(K)
     assert gb.contains(x)  # x * x = x^2 lies in the ideal
 
@@ -375,5 +375,5 @@ def test_graded_module_buchberger_respects_row_degrees():
     S = syzygy_matrix(F)
     gb = buchberger(S)
     for elem in gb.elements:
-        degs = {p.multi_degree() for p in elem.components if not p.is_zero()}
+        degs = {p.multi_degree() for p in elem if not p.is_zero()}
         assert len(degs) == 1 and None not in degs

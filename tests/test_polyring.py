@@ -207,6 +207,7 @@ def test_basic_arithmetic():
     x, y = poly("x"), poly("y")
     assert (x + y) ** 2 == poly("x^2 + 2*x*y + y^2")
     assert (x - y) * (x + y) == poly("x^2 - y^2")
+    assert poly("(x + y)^2 - 2*(x*y)") == poly("x^2 + y^2")
     assert 3 * x == poly("3*x")
     assert x * Fraction(1, 2) == poly("1/2*x")
     assert (x ** 0) == Polynomial.one(R2)
@@ -271,6 +272,8 @@ def test_parse_errors_carry_position():
     except ParseError as e:
         err = e
     assert err is not None and "column" in str(err)
+    with pytest.raises(ParseError, match=r"expected '\)' \(column 7\)"):
+        parse_expr("(x + y", R2)
 
 
 # -- grading ----------------------------------------------------------------
